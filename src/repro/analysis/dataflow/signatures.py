@@ -139,19 +139,6 @@ KNOWN_SIGNATURES: dict[str, Signature] = {
     "repro.placement.clustering.demand_shape_features": Signature(
         params=(("demands", None), ("translations", None)),
     ),
-    "repro.placement.kernels.evaluate_capacities": Signature(
-        params=(("simulator", None), ("capacities", None)),
-    ),
-    "repro.placement.kernels.required_capacity_batch": Signature(
-        params=(
-            ("batch", None),
-            ("capacity_limits", None),
-            ("commitment", None),
-            ("tolerance", "CpuShares"),
-            ("probes", None),
-            ("mode", None),
-        ),
-    ),
     "repro.placement.sharding.derive_shard_seed": Signature(
         params=(("seed", None), ("shard_index", None)),
     ),

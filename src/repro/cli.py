@@ -48,7 +48,6 @@ from repro.engine import (
     FaultPlan,
     ResilienceConfig,
 )
-from repro.placement.evaluation import KERNELS
 from repro.placement.failure import FailureSweepPolicy
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
@@ -99,18 +98,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-retries", type=int, default=None,
         help="retries per failing fan-out batch before degrading "
              "(default 2 when resilience is enabled)",
-    )
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=KERNELS, default="batch",
-        help="capacity-search kernel: 'batch' and 'fused' are "
-             "bit-identical to the scalar reference ('fused' solves a "
-             "whole generation in stacked float32 passes with float64 "
-             "verification), 'analytic' stays within the search "
-             "tolerance, 'scalar' is the paper's per-subset loop "
-             "(default: batch)",
     )
 
 
@@ -311,7 +298,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         sharding=args.shards,
         cluster_seed=args.cluster_seed,
         refine_rounds=args.refine_rounds,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -429,7 +415,6 @@ def _chaos_plan(
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -547,7 +532,6 @@ def _failure_outlook(args: argparse.Namespace) -> int:
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -577,7 +561,6 @@ def cmd_outlook(args: argparse.Namespace) -> int:
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
     )
     manager = CapacityManager(framework)
     policy = QoSPolicy(normal=_qos(args))
@@ -648,7 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(plan)
     _add_engine_arguments(plan)
-    _add_kernel_argument(plan)
     plan.add_argument("--servers", type=int, default=12)
     plan.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(plan)
@@ -684,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(chaos)
     _add_engine_arguments(chaos)
-    _add_kernel_argument(chaos)
     chaos.add_argument("--servers", type=int, default=12)
     chaos.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(chaos)
@@ -738,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(outlook)
     _add_engine_arguments(outlook)
-    _add_kernel_argument(outlook)
     outlook.add_argument("--servers", type=int, default=12)
     outlook.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(outlook)

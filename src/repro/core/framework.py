@@ -89,7 +89,6 @@ def planning_fingerprint(
     *,
     tolerance: float,
     attribute: str,
-    kernel: str,
     algorithm: str,
     plan_failures: bool,
     relax_all_on_failure: bool,
@@ -134,7 +133,6 @@ def planning_fingerprint(
         "search_config": repr(search_config),
         "tolerance": repr(tolerance),
         "attribute": attribute,
-        "kernel": kernel,
         "algorithm": algorithm,
         "plan_failures": plan_failures,
         "relax_all_on_failure": relax_all_on_failure,
@@ -164,12 +162,10 @@ class CapacityPlan:
     ``failure_planning``, and — for sharded runs — ``clustering``,
     ``sharding``, ``refinement``) to the seconds this run spent in
     each, as recorded by the engine's instrumentation; ``counters``
-    holds the run's counter increments (kernel calls and bracket
-    iterations — including the fused kernel's ``kernel.fused_rows``
-    fast-path rows and ``kernel.f32_retries`` verification fallbacks —
-    evaluation cache hits/misses, bytes broadcast to workers, ...).
-    Every kernel mode records the full ``kernel.*`` set, zeros
-    included, so counter maps are comparable across modes and scales.
+    holds the run's counter increments (capacity searches solved as
+    ``kernel.rows``, evaluation cache hits/misses, GA generations,
+    bytes broadcast to workers, ...), failure-case consolidations
+    included.
     ``sharding`` is the hierarchical tier's summary
     (shard count and sizes, migration rounds, per-shard timings) when
     the run was sharded, ``None`` otherwise.
@@ -361,8 +357,6 @@ class ROpus:
         tolerance: float = 0.01,
         attribute: str = "cpu",
         engine: ExecutionEngine | None = None,
-        kernel: str = "batch",
-        share_sweep_cache: bool = True,
         checkpointer: Checkpointer | None = None,
         sharding: Union[int, str, ShardingPolicy] = "off",
         cluster_seed: Optional[int] = None,
@@ -376,8 +370,6 @@ class ROpus:
         self.tolerance = tolerance
         self.attribute = attribute
         self.engine = engine if engine is not None else ExecutionEngine.serial()
-        self.kernel = kernel
-        self.share_sweep_cache = share_sweep_cache
         self.checkpointer = checkpointer
         if isinstance(sharding, ShardingPolicy):
             self.sharding_policy = sharding
@@ -458,7 +450,6 @@ class ROpus:
                 self.search_config,
                 tolerance=self.tolerance,
                 attribute=self.attribute,
-                kernel=self.kernel,
                 algorithm=algorithm,
                 plan_failures=plan_failures,
                 relax_all_on_failure=relax_all_on_failure,
@@ -517,7 +508,6 @@ class ROpus:
             tolerance=self.tolerance,
             attribute=self.attribute,
             engine=self.engine,
-            kernel=self.kernel,
             policy=self.sharding_policy,
             constraints=self.constraints,
         )
@@ -557,7 +547,6 @@ class ROpus:
                 tolerance=self.tolerance,
                 attribute=self.attribute,
                 engine=self.engine,
-                kernel=self.kernel,
                 constraints=self.constraints,
             )
             context.consolidation = consolidator.consolidate(
@@ -586,8 +575,6 @@ class ROpus:
             tolerance=self.tolerance,
             attribute=self.attribute,
             engine=self.engine,
-            kernel=self.kernel,
-            share_cache=self.share_sweep_cache,
             checkpointer=self.checkpointer,
         )
         context.failure_report = planner.plan(

@@ -121,10 +121,10 @@ class Instrumentation:
         Pre-existing counters that did not advance are omitted
         (mirroring :meth:`timings_since`), but counters *created* since
         the snapshot are kept even at a zero delta: a layer that
-        records a full counter set with some zero values (e.g. the
-        analytic kernel finishing without bracket iterations) reports
-        those zeros instead of silently dropping the name, so counter
-        sets stay comparable across runs and kernel modes.
+        records a full counter set with some zero values (e.g. an
+        anti-affinity pass that repaired nothing) reports those zeros
+        instead of silently dropping the name, so counter sets stay
+        comparable across runs.
         """
         deltas = {}
         for name, total in self._counters.items():

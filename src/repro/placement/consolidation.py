@@ -16,7 +16,7 @@ from typing import Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
-from repro.placement.evaluation import KERNELS, PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.genetic import (
     GeneticPlacementSearch,
     GeneticSearchConfig,
@@ -128,15 +128,7 @@ class ConsolidationResult:
 
 
 class Consolidator:
-    """Runs the workload placement service for one pool configuration.
-
-    ``kernel`` selects the capacity-search implementation for every
-    evaluation this consolidator runs (see
-    :data:`repro.placement.evaluation.KERNELS`): ``"batch"`` and
-    ``"fused"`` are bit-identical to the scalar reference, ``"analytic"``
-    stays within the search tolerance, ``"scalar"`` is the paper's
-    per-subset loop.
-    """
+    """Runs the workload placement service for one pool configuration."""
 
     def __init__(
         self,
@@ -147,23 +139,16 @@ class Consolidator:
         tolerance: float = 0.01,
         attribute: str = "cpu",
         engine: ExecutionEngine | None = None,
-        kernel: str = "batch",
         constraints=None,
     ):
         if len(pool) == 0:
             raise PlacementError("cannot consolidate onto an empty pool")
-        if kernel not in KERNELS:
-            raise PlacementError(
-                f"unknown capacity-search kernel {kernel!r}; "
-                f"expected one of {KERNELS}"
-            )
         self.pool = pool
         self.commitment = commitment
         self.config = config or GeneticSearchConfig()
         self.tolerance = tolerance
         self.attribute = attribute
         self.engine = engine if engine is not None else ExecutionEngine.serial()
-        self.kernel = kernel
         #: Optional anti-affinity constraints
         #: (:class:`repro.placement.affinity.PlacementConstraints`):
         #: priced into the genetic fitness and repaired on the final
@@ -194,7 +179,6 @@ class Consolidator:
             pairs,
             self.commitment,
             tolerance=self.tolerance,
-            kernel=self.kernel,
             instrumentation=self.engine.instrumentation,
         )
         return self.consolidate_with_evaluator(
@@ -370,10 +354,8 @@ class Consolidator:
         for workload_index, server_index in enumerate(assignment):
             groups.setdefault(int(server_index), []).append(workload_index)
 
-        # Evaluate every used server's final group in one batched call
-        # when the evaluator supports it (normally all cache hits after
-        # a search; one simultaneous solve otherwise, e.g. for the pure
-        # greedy algorithms' final scoring).
+        # Evaluate every used server's final group in one call when the
+        # evaluator supports it (normally all cache hits after a search).
         batch_evaluate = getattr(evaluator, "evaluate_groups", None)
         used = [
             (server_index, server)

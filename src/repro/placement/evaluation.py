@@ -8,16 +8,13 @@ memoises results by (server capacity profile, workload subset) — the
 genetic search re-visits the same server contents constantly, so the
 cache is what makes the search affordable.
 
-Two execution shapes are supported:
-
-* the scalar path (:func:`evaluate_group_worker`) runs one subset's
-  binary search at a time, exactly as the paper describes it;
-* the batch path (:meth:`PlacementEvaluator.evaluate_groups`,
-  :func:`evaluate_groups_worker`) stacks all cache-missing subsets into
-  a :class:`~repro.placement.kernels.BatchSimulator` and solves every
-  bracket simultaneously with
-  :func:`~repro.placement.kernels.required_capacity_batch` — same
-  results, one lock-step array program instead of N Python loops.
+Every lookup that misses the cache runs the paper's capacity search
+once: :func:`~repro.placement.required_capacity.required_capacity`
+bisects on a :class:`~repro.placement.simulator.SingleServerSimulator`
+built from the subset's aggregate CoS1/CoS2 traces.
+:meth:`PlacementEvaluator.evaluate_groups` and
+:func:`evaluate_groups_worker` take many subsets per call and solve the
+misses one after another.
 
 For parallel backends the evaluator exposes a picklable
 :class:`EvaluationPayload` (the matrices plus commitment parameters) and
@@ -29,7 +26,6 @@ the memoisation design survives the fan-out.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,15 +34,6 @@ import numpy as np
 from repro.engine.instrumentation import Instrumentation
 from repro.core.cos import CoSCommitment
 from repro.exceptions import PlacementError
-from repro.placement.fused import (
-    TranslationCache,
-    fused_required_capacity,
-)
-from repro.placement.kernels import (
-    BatchSearchStats,
-    BatchSimulator,
-    required_capacity_batch,
-)
 from repro.placement.required_capacity import (
     DEFAULT_TOLERANCE,
     RequiredCapacityResult,
@@ -56,22 +43,6 @@ from repro.placement.simulator import SingleServerSimulator
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
-
-#: Capacity-search implementations selectable on the evaluator.
-#:
-#: * ``"batch"`` — simultaneous bisection, bit-identical to ``"scalar"``;
-#: * ``"analytic"`` — batch kernel with the closed-form theta inversion
-#:   (results within the search tolerance of the scalar path);
-#: * ``"fused"`` — generation-scale float32 fast path over compressed
-#:   traces with float64 verification (bit-identical to ``"batch"``;
-#:   see :mod:`repro.placement.fused`);
-#: * ``"scalar"`` — the paper's per-subset binary search (reference).
-KERNELS = ("batch", "analytic", "fused", "scalar")
-
-
-def _solver_mode(kernel: str) -> str:
-    """Map an evaluator kernel name to the batch solver's mode."""
-    return "analytic" if kernel == "analytic" else "bisect"
 
 
 @dataclass(frozen=True)
@@ -87,11 +58,9 @@ class ServerEvaluation:
         return self.fits
 
 
-#: Memoisation key: (server capacity, canonically sorted subset rows).
+#: Memoisation key and work item: (server capacity, canonically sorted
+#: subset rows).
 GroupKey = tuple[float, tuple[int, ...]]
-
-#: One batched work item: (capacity limit, sorted rows, probe or None).
-GroupItem = tuple[float, "tuple[int, ...]", Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -109,40 +78,6 @@ class EvaluationPayload:
     calendar: TraceCalendar
     commitment: CoSCommitment
     tolerance: float
-    kernel: str = "batch"
-    fingerprint: Optional[str] = None
-
-    def __getstate__(self) -> dict:
-        # The lazily attached fused-translation scratch (see
-        # ``_worker_translations``) holds live numpy buffers; it must
-        # never cross a process boundary.
-        state = dict(self.__dict__)
-        state.pop("_fused_translations", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
-def _worker_translations(
-    payload: EvaluationPayload,
-) -> Optional[TranslationCache]:
-    """The payload's fused-translation memo, attached lazily to it.
-
-    Mirrors :func:`repro.placement.failure._scratch_for`: each worker
-    process unpickles its own payload copy (broadcast once per
-    session), so hanging the cache off that copy keeps it process-local
-    without a module-level registry, and a new session starts cold by
-    construction. ``object.__setattr__`` is the sanctioned escape hatch
-    for caching on a frozen dataclass.
-    """
-    if payload.kernel != "fused" or payload.fingerprint is None:
-        return None
-    cache = getattr(payload, "_fused_translations", None)
-    if cache is None:
-        cache = TranslationCache()
-        object.__setattr__(payload, "_fused_translations", cache)
-    return cache
 
 
 def _evaluation_from_result(
@@ -183,80 +118,13 @@ def _evaluate_rows(
     return _evaluation_from_result(result, limit)
 
 
-def _evaluate_items_batched(
-    cos1: np.ndarray,
-    cos2: np.ndarray,
-    calendar: TraceCalendar,
-    commitment: CoSCommitment,
-    tolerance: float,
-    items: Sequence[GroupItem],
-    kernel: str = "batch",
-    translations: Optional[TranslationCache] = None,
-    fingerprint: Optional[str] = None,
-) -> tuple[list[ServerEvaluation], BatchSearchStats]:
-    """Solve every item's capacity search in one batched kernel solve."""
-    if len(items) == 1 and items[0][2] is None and kernel in ("batch", "fused"):
-        # A lone search gains nothing from the lock-step machinery (its
-        # result is bit-identical either way); the scalar loop has less
-        # per-call overhead than either batched kernel.
-        limit, rows, _ = items[0]
-        evaluation = _evaluate_rows(
-            cos1, cos2, calendar, commitment, tolerance, rows, limit
-        )
-        return [evaluation], BatchSearchStats(
-            rows=1, kernel_calls=0, bracket_iterations=0, probe_hits=0
-        )
-    subsets = [rows for _, rows, _ in items]
-    limits = np.asarray([limit for limit, _, _ in items], dtype=float)
-    probe_values = [probe for _, _, probe in items]
-    probes: Optional[np.ndarray] = None
-    if any(probe is not None for probe in probe_values):
-        probes = np.asarray(
-            [
-                float("nan") if probe is None else float(probe)
-                for probe in probe_values
-            ],
-            dtype=float,
-        )
-    if kernel == "fused":
-        solved = fused_required_capacity(
-            cos1,
-            cos2,
-            subsets,
-            calendar,
-            limits,
-            commitment,
-            tolerance=tolerance,
-            probes=probes,
-            cache=translations,
-            fingerprint=fingerprint,
-        )
-    else:
-        batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
-        solved = required_capacity_batch(
-            batch,
-            limits,
-            commitment,
-            tolerance=tolerance,
-            probes=probes,
-            mode=_solver_mode(kernel),
-        )
-    evaluations = [
-        _evaluation_from_result(result, float(limit))
-        for result, limit in zip(solved.results, limits)
-    ]
-    return evaluations, solved.stats
-
-
 def evaluate_group_worker(
     payload: EvaluationPayload, item: tuple[float, tuple[int, ...]]
 ) -> ServerEvaluation:
     """Executor work unit: ``item`` is ``(capacity_limit, workload_rows)``.
 
     A pure function of the broadcast payload and the item, so results
-    are identical across serial and parallel backends. This is the
-    scalar (one search per call) granularity; see
-    :func:`evaluate_groups_worker` for the batched one.
+    are identical across serial and parallel backends.
     """
     limit, rows = item
     return _evaluate_rows(
@@ -271,51 +139,23 @@ def evaluate_group_worker(
 
 
 def evaluate_groups_worker(
-    payload: EvaluationPayload, items: tuple[GroupItem, ...]
-) -> tuple[tuple[ServerEvaluation, ...], tuple[int, int, int, int, int, int]]:
-    """Executor work unit: a whole chunk of subsets in one kernel solve.
+    payload: EvaluationPayload, items: tuple[GroupKey, ...]
+) -> tuple[ServerEvaluation, ...]:
+    """Executor work unit: a chunk of ``(limit, sorted rows)`` items.
 
-    Returns the evaluations in item order plus the solver's work stats
-    ``(rows, kernel_calls, bracket_iterations, probe_hits, fused_rows,
-    f32_retries)`` so the driver can fold them into its
-    instrumentation. Honours the payload's ``kernel`` selection —
-    ``"scalar"`` runs the per-subset reference loop instead (the
-    benchmark's baseline arm).
+    Returns the evaluations in item order.
     """
-    if not items:
-        return (), (0, 0, 0, 0, 0, 0)
-    if payload.kernel == "scalar":
-        evaluations = tuple(
-            _evaluate_rows(
-                payload.cos1,
-                payload.cos2,
-                payload.calendar,
-                payload.commitment,
-                payload.tolerance,
-                rows,
-                limit,
-            )
-            for limit, rows, _ in items
+    return tuple(
+        _evaluate_rows(
+            payload.cos1,
+            payload.cos2,
+            payload.calendar,
+            payload.commitment,
+            payload.tolerance,
+            rows,
+            limit,
         )
-        return evaluations, (len(items), 0, 0, 0, 0, 0)
-    evaluations_list, stats = _evaluate_items_batched(
-        payload.cos1,
-        payload.cos2,
-        payload.calendar,
-        payload.commitment,
-        payload.tolerance,
-        items,
-        kernel=payload.kernel,
-        translations=_worker_translations(payload),
-        fingerprint=payload.fingerprint,
-    )
-    return tuple(evaluations_list), (
-        stats.rows,
-        stats.kernel_calls,
-        stats.bracket_iterations,
-        stats.probe_hits,
-        stats.fused_rows,
-        stats.f32_retries,
+        for limit, rows in items
     )
 
 
@@ -328,17 +168,10 @@ class PlacementEvaluator:
         commitment: CoSCommitment,
         tolerance: float = DEFAULT_TOLERANCE,
         *,
-        kernel: str = "batch",
         instrumentation: Optional[Instrumentation] = None,
-        translations: Optional[TranslationCache] = None,
     ):
         if not pairs:
             raise PlacementError("need at least one workload to place")
-        if kernel not in KERNELS:
-            raise PlacementError(
-                f"unknown capacity-search kernel {kernel!r}; "
-                f"expected one of {KERNELS}"
-            )
         names = [pair.name for pair in pairs]
         if len(set(names)) != len(names):
             raise PlacementError("workload names must be unique")
@@ -347,7 +180,6 @@ class PlacementEvaluator:
         self._index_by_name = {name: index for index, name in enumerate(names)}
         self.commitment = commitment
         self.tolerance = tolerance
-        self.kernel = kernel
         self.instrumentation = instrumentation
         self.calendar: TraceCalendar = pairs[0].calendar
         for pair in pairs:
@@ -355,17 +187,6 @@ class PlacementEvaluator:
         self._cos1 = np.vstack([pair.cos1.values for pair in self.pairs])
         self._cos2 = np.vstack([pair.cos2.values for pair in self.pairs])
         self._cache: dict[GroupKey, ServerEvaluation] = {}
-        # Fused-kernel state: the per-group translation memo (sharable
-        # across evaluators, e.g. one failure sweep's per-QoS-mix
-        # evaluators) and the lazily computed content fingerprint that
-        # keys it.
-        if translations is not None:
-            self._translations: Optional[TranslationCache] = translations
-        elif kernel == "fused":
-            self._translations = TranslationCache()
-        else:
-            self._translations = None
-        self._fingerprint: Optional[str] = None
 
     @property
     def n_workloads(self) -> int:
@@ -403,10 +224,9 @@ class PlacementEvaluator:
     ) -> list[ServerEvaluation]:
         """Evaluate many ``(capacity limit, subset)`` items at once.
 
-        Cache-hitting items are answered from the memo; the misses are
-        stacked into one :class:`BatchSimulator` and solved by a single
-        simultaneous bisection, then installed in the cache. Results
-        are identical to calling :meth:`evaluate_group` one by one.
+        Cache-hitting items are answered from the memo; each distinct
+        miss is searched once and installed in the cache. Results are
+        identical to calling :meth:`evaluate_group` one by one.
         """
         keys = [
             (float(limit), self._canonical_rows(rows))
@@ -419,8 +239,8 @@ class PlacementEvaluator:
             elif key not in missing:
                 self._count("placement.cache_misses")
                 missing[key] = None
-        for key, evaluation in zip(missing, self._solve_missing(list(missing))):
-            self._cache[key] = evaluation
+        for key in missing:
+            self._cache[key] = self._evaluate_key(key)
         return [self._cache[key] for key in keys]
 
     def cache_key(
@@ -429,9 +249,9 @@ class PlacementEvaluator:
         """The memoisation key for one (server, workload subset) pairing.
 
         The subset is canonicalised (sorted, de-duplicated) here, once,
-        so every downstream consumer — the scalar path, the batch
-        kernel, worker shipping — reuses the same sorted tuple instead
-        of re-sorting per evaluation.
+        so every downstream consumer — the capacity search, worker
+        shipping — reuses the same sorted tuple instead of re-sorting
+        per evaluation.
         """
         return (server.capacity_of(attribute), self._canonical_rows(indices))
 
@@ -442,58 +262,6 @@ class PlacementEvaluator:
         """Merge a worker-computed evaluation into the driver-side cache."""
         self._cache.setdefault(key, evaluation)
 
-    def record_search_stats(
-        self, stats: Sequence[int] | BatchSearchStats
-    ) -> None:
-        """Fold one batch solve's work accounting into the counters.
-
-        Every ``kernel.*`` counter is recorded on every call — zero
-        increments included — so all kernel modes surface the same
-        counter set in :meth:`Instrumentation.counters_since` deltas
-        (the fused counters simply stay at zero for the other modes).
-        """
-        if isinstance(stats, BatchSearchStats):
-            values: Sequence[int] = (
-                stats.rows,
-                stats.kernel_calls,
-                stats.bracket_iterations,
-                stats.probe_hits,
-                stats.fused_rows,
-                stats.f32_retries,
-            )
-        else:
-            values = tuple(stats) + (0,) * (6 - len(stats))
-        names = (
-            "kernel.rows",
-            "kernel.calls",
-            "kernel.bracket_iterations",
-            "kernel.probe_hits",
-            "kernel.fused_rows",
-            "kernel.f32_retries",
-        )
-        for name, value in zip(names, values):
-            self._count(name, value)
-
-    def content_fingerprint(self) -> str:
-        """Digest of everything a fused translation's content depends on.
-
-        The same scheme as :func:`repro.core.framework.planning_fingerprint`
-        scoped to the translation inputs: the stacked allocation
-        matrices, the commitment, the tolerance, and the calendar. Two
-        evaluators with equal fingerprints produce bit-identical
-        translations for equal row subsets, which is what lets one
-        :class:`TranslationCache` serve many evaluators.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(self._cos1.tobytes())
-            digest.update(self._cos2.tobytes())
-            digest.update(repr(self.commitment).encode("utf-8"))
-            digest.update(repr(self.calendar).encode("utf-8"))
-            digest.update(repr(float(self.tolerance)).encode("utf-8"))
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
     def worker_payload(self) -> EvaluationPayload:
         """The picklable state a stateless worker needs (broadcast once)."""
         return EvaluationPayload(
@@ -502,12 +270,6 @@ class PlacementEvaluator:
             calendar=self.calendar,
             commitment=self.commitment,
             tolerance=self.tolerance,
-            kernel=self.kernel,
-            fingerprint=(
-                self.content_fingerprint()
-                if self.kernel == "fused"
-                else None
-            ),
         )
 
     def search_result(
@@ -536,20 +298,7 @@ class PlacementEvaluator:
         limit, rows = key
         if not rows:
             return ServerEvaluation(fits=True, required=0.0, utilization=0.0)
-        if self.kernel != "scalar":
-            evaluations, stats = _evaluate_items_batched(
-                self._cos1,
-                self._cos2,
-                self.calendar,
-                self.commitment,
-                self.tolerance,
-                [(limit, rows, None)],
-                kernel=self.kernel,
-                translations=self._translations,
-                fingerprint=self._kernel_fingerprint(),
-            )
-            self.record_search_stats(stats)
-            return evaluations[0]
+        self._count("kernel.rows")
         return _evaluate_rows(
             self._cos1,
             self._cos2,
@@ -559,51 +308,6 @@ class PlacementEvaluator:
             rows,
             limit,
         )
-
-    def _solve_missing(
-        self, missing: Sequence[GroupKey]
-    ) -> list[ServerEvaluation]:
-        nonempty = [(limit, rows, None) for limit, rows in missing if rows]
-        if self.kernel != "scalar" and nonempty:
-            solved, stats = _evaluate_items_batched(
-                self._cos1,
-                self._cos2,
-                self.calendar,
-                self.commitment,
-                self.tolerance,
-                nonempty,
-                kernel=self.kernel,
-                translations=self._translations,
-                fingerprint=self._kernel_fingerprint(),
-            )
-            self.record_search_stats(stats)
-            solved_by_key = {
-                (limit, rows): evaluation
-                for (limit, rows, _), evaluation in zip(nonempty, solved)
-            }
-        else:
-            solved_by_key = {
-                (limit, rows): _evaluate_rows(
-                    self._cos1,
-                    self._cos2,
-                    self.calendar,
-                    self.commitment,
-                    self.tolerance,
-                    rows,
-                    limit,
-                )
-                for limit, rows, _ in nonempty
-            }
-        empty = ServerEvaluation(fits=True, required=0.0, utilization=0.0)
-        return [
-            solved_by_key[key] if key[1] else empty for key in missing
-        ]
-
-    def _kernel_fingerprint(self) -> Optional[str]:
-        """The translation-memo key, only computed for the fused kernel."""
-        if self.kernel != "fused":
-            return None
-        return self.content_fingerprint()
 
     def _count(self, name: str, increment: float = 1) -> None:
         if self.instrumentation is not None:

@@ -60,7 +60,7 @@ from repro.core.qos import QoSPolicy
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
-from repro.placement.fused import TranslationCache
+from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import DOMAIN_KINDS
 from repro.traces.trace import DemandTrace
@@ -377,8 +377,6 @@ class _FailureSweepPayload:
     policies: Mapping[str, QoSPolicy] | QoSPolicy
     relax_all: bool
     algorithm: str
-    kernel: str = "batch"
-    share_cache: bool = True
 
     def __getstate__(self) -> dict:
         # The lazily attached scratch (see ``_scratch_for``) holds live
@@ -411,14 +409,9 @@ class _SweepScratch:
     def __init__(self) -> None:
         self.translations: dict = {}
         self.evaluators: dict = {}
-        # Fused-kernel group translations, shared across every case
-        # (and every per-QoS-mix evaluator) this process handles: the
-        # cache keys on each evaluator's content fingerprint, so mixes
-        # with different degraded ensembles never collide.
-        self.fused_translations = TranslationCache()
 
 
-def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch | None:
+def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch:
     """The payload's scratch, attached lazily to the payload itself.
 
     Each worker process unpickles its own payload copy (broadcast once
@@ -428,8 +421,6 @@ def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch | None:
     construction. ``object.__setattr__`` is the sanctioned escape
     hatch for caching on a frozen dataclass.
     """
-    if not payload.share_cache:
-        return None
     scratch = getattr(payload, "_scratch", None)
     if scratch is None:
         scratch = _SweepScratch()
@@ -450,7 +441,6 @@ def _failure_case_worker(
         config=payload.config,
         tolerance=payload.tolerance,
         attribute=payload.attribute,
-        kernel=payload.kernel,
     )
     demand_by_name = {demand.name: demand for demand in payload.demands}
     return planner._evaluate_failure(
@@ -525,8 +515,6 @@ class FailurePlanner:
         tolerance: float = 0.01,
         attribute: str = "cpu",
         engine: ExecutionEngine | None = None,
-        kernel: str = "batch",
-        share_cache: bool = True,
         checkpointer: Checkpointer | None = None,
     ):
         self.translator = translator
@@ -534,8 +522,6 @@ class FailurePlanner:
         self.tolerance = tolerance
         self.attribute = attribute
         self.engine = engine if engine is not None else ExecutionEngine.serial()
-        self.kernel = kernel
-        self.share_cache = share_cache
         self.checkpointer = checkpointer
 
     def plan(
@@ -1007,8 +993,6 @@ class FailurePlanner:
             policies=policies,
             relax_all=relax_all,
             algorithm=algorithm,
-            kernel=self.kernel,
-            share_cache=self.share_cache,
         )
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("failure_planning"):
@@ -1084,7 +1068,7 @@ class FailurePlanner:
         *,
         relax_all: bool,
         algorithm: str,
-        scratch: _SweepScratch | None = None,
+        scratch: _SweepScratch,
     ) -> FailureCase:
         surviving = pool
         if scenario.failed_servers:
@@ -1098,15 +1082,10 @@ class FailurePlanner:
             failure_mode = relax_all or name in affected
             qos = policy.mode(failure_mode=failure_mode)
             key = (name, failure_mode)
-            pair = (
-                scratch.translations.get(key)
-                if scratch is not None
-                else None
-            )
+            pair = scratch.translations.get(key)
             if pair is None:
                 pair = self.translator.translate(demand, qos).pair
-                if scratch is not None:
-                    scratch.translations[key] = pair
+                scratch.translations[key] = pair
             pairs.append(pair)
             mix.append(key)
 
@@ -1116,29 +1095,21 @@ class FailurePlanner:
             config=self.config,
             tolerance=self.tolerance,
             attribute=self.attribute,
-            kernel=self.kernel,
         )
         try:
-            if scratch is not None:
-                from repro.placement.evaluation import PlacementEvaluator
-
-                signature = tuple(mix)
-                evaluator = scratch.evaluators.get(signature)
-                if evaluator is None:
-                    evaluator = PlacementEvaluator(
-                        pairs,
-                        self.translator.commitments.cos2,
-                        tolerance=self.tolerance,
-                        kernel=self.kernel,
-                        instrumentation=consolidator.engine.instrumentation,
-                        translations=scratch.fused_translations,
-                    )
-                    scratch.evaluators[signature] = evaluator
-                result = consolidator.consolidate_with_evaluator(
-                    evaluator, algorithm=algorithm
+            signature = tuple(mix)
+            evaluator = scratch.evaluators.get(signature)
+            if evaluator is None:
+                evaluator = PlacementEvaluator(
+                    pairs,
+                    self.translator.commitments.cos2,
+                    tolerance=self.tolerance,
+                    instrumentation=consolidator.engine.instrumentation,
                 )
-            else:
-                result = consolidator.consolidate(pairs, algorithm=algorithm)
+                scratch.evaluators[signature] = evaluator
+            result = consolidator.consolidate_with_evaluator(
+                evaluator, algorithm=algorithm
+            )
         except PlacementError:
             return FailureCase(
                 failed_servers=scenario.failed_servers,

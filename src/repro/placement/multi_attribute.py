@@ -58,7 +58,6 @@ class MultiAttributeEvaluator:
         pairs_by_attribute: Mapping[str, Sequence[CoSAllocationPair]],
         commitments: CoSCommitment | Mapping[str, CoSCommitment],
         tolerance: float = 0.01,
-        kernel: str = "batch",
     ):
         if not pairs_by_attribute:
             raise PlacementError("need at least one capacity attribute")
@@ -71,7 +70,7 @@ class MultiAttributeEvaluator:
                 else commitments[attribute]
             )
             self._evaluators[attribute] = PlacementEvaluator(
-                pairs, commitment, tolerance=tolerance, kernel=kernel
+                pairs, commitment, tolerance=tolerance
             )
         names = self._evaluators[self.attributes[0]].names
         for attribute, evaluator in self._evaluators.items():

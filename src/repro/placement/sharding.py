@@ -22,7 +22,7 @@ containers. This module implements the hierarchical tier on top of it:
 
 Determinism: every shard's genetic search runs under a seed derived
 from the root search seed and the shard index, refinement evaluates
-marginal costs through one driver-side batch-kernel evaluator, and all
+marginal costs through one driver-side evaluator, and all
 tie-breaking is index-ordered — the same inputs always produce the
 same sharded plan, on any backend.
 """
@@ -262,7 +262,6 @@ class _ShardPlanPayload:
     tolerance: float
     attribute: str
     algorithm: str
-    kernel: str
     #: Anti-affinity constraints, threaded into each shard's search so
     #: per-shard plans already avoid shared failure domains; the merged
     #: plan gets a final cross-shard repair pass on top.
@@ -326,7 +325,6 @@ def _shard_plan_worker(
         config=config,
         tolerance=payload.tolerance,
         attribute=payload.attribute,
-        kernel=payload.kernel,
         constraints=payload.constraints,
     )
     try:
@@ -367,7 +365,6 @@ class HierarchicalPlanner:
         tolerance: float = 0.01,
         attribute: str = "cpu",
         engine: ExecutionEngine | None = None,
-        kernel: str = "batch",
         policy: ShardingPolicy | None = None,
         constraints=None,
     ):
@@ -379,7 +376,6 @@ class HierarchicalPlanner:
         self.tolerance = tolerance
         self.attribute = attribute
         self.engine = engine if engine is not None else ExecutionEngine.serial()
-        self.kernel = kernel
         self.policy = policy or ShardingPolicy()
         self.constraints = constraints
         self._pairs: list[CoSAllocationPair] = []
@@ -580,8 +576,8 @@ class HierarchicalPlanner:
         """Iterative cross-shard best-fit migration until cost stalls.
 
         Each round evaluates, for every workload, the marginal cost of
-        moving it to its best-fit server in every other shard (batched
-        through the global evaluator's kernel); applies the best
+        moving it to its best-fit server in every other shard (through
+        the global evaluator's memo); applies the best
         non-conflicting positive-gain moves; re-plans the affected
         shards (seeded with the post-move placement, so replanning can
         only improve it); and keeps the round only if total required
@@ -708,7 +704,6 @@ class HierarchicalPlanner:
                 self._pairs,
                 self.commitment,
                 tolerance=self.tolerance,
-                kernel=self.kernel,
                 instrumentation=self.engine.instrumentation,
             )
         return self._evaluator
@@ -722,7 +717,6 @@ class HierarchicalPlanner:
             tolerance=self.tolerance,
             attribute=self.attribute,
             algorithm=algorithm,
-            kernel=self.kernel,
             constraints=self.constraints,
         )
 
@@ -881,7 +875,7 @@ class HierarchicalPlanner:
         target_server)`` tuples for every workload whose cheapest
         insertion elsewhere undercuts its removal gain at home. All
         required capacities flow through the global evaluator, so the
-        whole round's marginal costs are a handful of batched solves.
+        whole round's marginal costs share one memo.
         """
         evaluator = self._global_evaluator()
         servers = {server.name: server for server in self.pool.servers}
@@ -1184,7 +1178,6 @@ class HierarchicalPlanner:
             tolerance=self.tolerance,
             attribute=self.attribute,
             engine=self.engine,
-            kernel=self.kernel,
         )._build_result(
             evaluator, repaired, consolidation.algorithm, None
         )

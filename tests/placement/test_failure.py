@@ -141,3 +141,63 @@ class TestFailurePlanning:
         planner = FailurePlanner(translator, config=SEARCH_CONFIG)
         with pytest.raises(PlacementError):
             planner.plan(demands, {"w0": policy}, pool, normal)
+
+
+def fresh_case(translator, demands, policy, pool, case, relax_all):
+    """The case's consolidation, replanned from scratch without the
+    sweep's shared memo; ``None`` where the fresh plan is infeasible."""
+    surviving = pool
+    if case.failed_servers:
+        surviving = surviving.without(*case.failed_servers)
+    if case.degraded:
+        surviving = surviving.with_degraded(dict(case.degraded))
+    pairs = [
+        translator.translate(
+            demand,
+            policy.mode(
+                failure_mode=relax_all
+                or demand.name in case.affected_workloads
+            ),
+        ).pair
+        for demand in demands
+    ]
+    consolidator = Consolidator(
+        surviving, translator.commitments.cos2, config=SEARCH_CONFIG
+    )
+    try:
+        return consolidator.consolidate(pairs)
+    except PlacementError:
+        return None
+
+
+class TestSweepMemo:
+    """The sweep shares translations and evaluator memos across its
+    cases; every case must still equal a fresh plan of its scenario."""
+
+    @pytest.mark.parametrize("relax_all", [False, True])
+    def test_every_case_equals_a_fresh_consolidation(
+        self, demands, translator, policy, relax_all
+    ):
+        pool = ResourcePool(homogeneous_servers(4, cpus=8))
+        normal = normal_plan(translator, demands, policy, pool)
+        planner = FailurePlanner(translator, config=SEARCH_CONFIG)
+        cases = list(
+            planner.plan(
+                demands, policy, pool, normal, relax_all=relax_all
+            ).cases
+        )
+        cases += planner.plan_degraded(
+            demands, policy, pool, normal, factor=0.5, relax_all=relax_all
+        ).cases
+        assert len(cases) > normal.servers_used
+        for case in cases:
+            fresh = fresh_case(
+                translator, demands, policy, pool, case, relax_all
+            )
+            assert case.feasible == (fresh is not None), case.label
+            if fresh is None:
+                continue
+            assert dict(case.result.assignment) == dict(fresh.assignment)
+            assert dict(case.result.required_by_server) == dict(
+                fresh.required_by_server
+            )
