@@ -43,8 +43,10 @@ function of a broadcast :class:`_FailureSweepPayload` (commitments, pool,
 demands, policies, search config) and its ``(scenario, affected
 workloads)`` item; inner consolidations run serially inside the worker
 with their own deterministic seeded search, so results are identical
-across backends. Completed cases are checkpointed per wave under keys
-derived from the scenario's structured fields, so killed sweeps resume.
+across backends. Each case returns its counter increments alongside,
+and the driver folds them into its instrumentation. Completed cases are
+checkpointed per wave under keys derived from the scenario's structured
+fields, so killed sweeps resume; a resumed case adds no counters.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.core.cos import PoolCommitments
 from repro.core.qos import QoSPolicy
-from repro.engine import Checkpointer, ExecutionEngine
+from repro.engine import Checkpointer, ExecutionEngine, Instrumentation
 from repro.exceptions import PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
 from repro.placement.evaluation import PlacementEvaluator
@@ -404,11 +406,15 @@ class _SweepScratch:
     in the same process. Degraded-capacity scenarios only change
     server *limits*, never the translated workloads, so they share the
     same memo.
+
+    Every case's consolidation counts into the scratch's one
+    ``instrumentation``; a case's counter delta is its share.
     """
 
     def __init__(self) -> None:
         self.translations: dict = {}
         self.evaluators: dict = {}
+        self.instrumentation = Instrumentation()
 
 
 def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch:
@@ -431,19 +437,25 @@ def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch:
 def _failure_case_worker(
     payload: _FailureSweepPayload,
     item: tuple[FaultScenario, tuple[str, ...]],
-) -> FailureCase:
-    """Executor work unit: evaluate one failure what-if end to end."""
+) -> tuple[FailureCase, dict[str, float]]:
+    """Executor work unit: evaluate one failure what-if end to end.
+
+    Returns the case and the counter increments its consolidation made.
+    """
     from repro.core.translation import QoSTranslator
 
     scenario, affected = item
+    scratch = _scratch_for(payload)
     planner = FailurePlanner(
         QoSTranslator(payload.commitments),
         config=payload.config,
         tolerance=payload.tolerance,
         attribute=payload.attribute,
+        engine=ExecutionEngine.serial(scratch.instrumentation),
     )
     demand_by_name = {demand.name: demand for demand in payload.demands}
-    return planner._evaluate_failure(
+    before = scratch.instrumentation.counters()
+    case = planner._evaluate_failure(
         scenario,
         set(affected),
         demand_by_name,
@@ -451,8 +463,9 @@ def _failure_case_worker(
         payload.pool,
         relax_all=payload.relax_all,
         algorithm=payload.algorithm,
-        scratch=_scratch_for(payload),
+        scratch=scratch,
     )
+    return case, scratch.instrumentation.counters_since(before)
 
 
 def _case_to_payload(case: FailureCase) -> dict:
@@ -1022,11 +1035,13 @@ class FailurePlanner:
                     wave = max(1, int(getattr(session, "parallelism", 1)))
                     for start in range(0, len(pending), wave):
                         batch = pending[start : start + wave]
-                        for case in session.map(
+                        for case, counters in session.map(
                             _failure_case_worker,
                             [item for _, item in batch],
                         ):
                             computed.append(case)
+                            for name, value in counters.items():
+                                instrumentation.count(name, value)
                             self._save_case(case, key_prefix)
             cases: list[FailureCase] = [None] * len(items)  # type: ignore[list-item]
             for case_position, case in restored.items():
@@ -1095,6 +1110,7 @@ class FailurePlanner:
             config=self.config,
             tolerance=self.tolerance,
             attribute=self.attribute,
+            engine=self.engine,
         )
         try:
             signature = tuple(mix)
@@ -1104,7 +1120,7 @@ class FailurePlanner:
                     pairs,
                     self.translator.commitments.cos2,
                     tolerance=self.tolerance,
-                    instrumentation=consolidator.engine.instrumentation,
+                    instrumentation=self.engine.instrumentation,
                 )
                 scratch.evaluators[signature] = evaluator
             result = consolidator.consolidate_with_evaluator(

@@ -149,6 +149,33 @@ class TestBackendEquivalence:
         )
         assert serial_plan.plan_hash() == parallel_plan.plan_hash()
 
+    def test_failure_case_counters_reach_the_plan(self, demands, policy):
+        """Failure-case consolidations count into ``plan.counters``,
+        with the same totals on both backends."""
+
+        def counters(engine, plan_failures):
+            framework = make_framework(engine)
+            try:
+                plan = framework.plan(
+                    demands, policy, plan_failures=plan_failures
+                )
+            finally:
+                engine.close()
+            return {
+                "generations": plan.counters["placement.ga_generations"],
+                "lookups": plan.counters["placement.cache_hits"]
+                + plan.counters["placement.cache_misses"],
+            }
+
+        without = counters(ExecutionEngine.serial(), plan_failures=False)
+        serial = counters(ExecutionEngine.serial(), plan_failures=True)
+        parallel = counters(
+            ExecutionEngine.with_workers(2), plan_failures=True
+        )
+        for name in without:
+            assert serial[name] > without[name], name
+        assert serial == parallel
+
     def test_plan_records_stage_timings(self, demands, policy):
         plan = plan_with(ExecutionEngine.serial(), demands, policy)
         assert set(plan.timings) >= {
