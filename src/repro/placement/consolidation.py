@@ -219,9 +219,7 @@ class Consolidator:
                 search = None
             elif algorithm == "genetic":
                 seed = first_fit_decreasing(evaluator, self.pool, self.attribute)
-                extra_seeds = [
-                    best_fit_decreasing(evaluator, self.pool, self.attribute)
-                ]
+                extra_seeds = self._best_fit_seed(evaluator)
                 extra_seeds.extend(self._correlation_seed(evaluator))
                 carried = self._assignment_from_previous(evaluator, previous)
                 if carried is not None:
@@ -292,6 +290,18 @@ class Consolidator:
                 remaining=remaining,
             )
         return assignment
+
+    def _best_fit_seed(self, evaluator) -> list[tuple[int, ...]]:
+        """A best-fit-decreasing seed, when it places every workload.
+
+        Packing each workload tightest can strand a later one that the
+        first-fit seed (already placed) still fits, so a raising
+        best-fit seed is skipped rather than failing the consolidation.
+        """
+        try:
+            return [best_fit_decreasing(evaluator, self.pool, self.attribute)]
+        except PlacementError:
+            return []
 
     def _correlation_seed(self, evaluator) -> list[tuple[int, ...]]:
         """A correlation-aware greedy seed, when the evaluator supports it.

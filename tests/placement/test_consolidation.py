@@ -137,3 +137,43 @@ class TestPreviousPlanSeeding:
         )
         result = consolidator.consolidate(pairs, previous=stale)
         assert result.servers_used >= 1
+
+
+class TestSeedFailures:
+    """A greedy seed that cannot place everything is skipped."""
+
+    @staticmethod
+    def two_phase_pair(cal, name, first, second):
+        """CoS1-only demand: ``first`` in the first half of the trace,
+        ``second`` in the second half (required capacity = peak sum)."""
+        n = cal.n_observations
+        cos1 = np.where(np.arange(n) < n // 2, first, second).astype(float)
+        return CoSAllocationPair(
+            name,
+            AllocationTrace(f"{name}.c1", cos1, cal),
+            AllocationTrace(f"{name}.c2", np.zeros(n), cal),
+        )
+
+    def test_raising_best_fit_seed_does_not_abort(self, cal):
+        # On two 10-CPU servers first fit puts w2 beside w0 (peak 8)
+        # while best fit puts it beside w1 (peak 9.5, the tighter
+        # fit); w3 then fits next to w1 only in the first-fit layout.
+        pairs = [
+            self.two_phase_pair(cal, "w0", 8.0, 0.0),
+            self.two_phase_pair(cal, "w1", 3.0, 7.0),
+            self.two_phase_pair(cal, "w2", 0.0, 2.5),
+            self.two_phase_pair(cal, "w3", 2.5, 2.5),
+        ]
+        consolidator = Consolidator(
+            ResourcePool(homogeneous_servers(2, cpus=10)),
+            CoSCommitment(theta=0.9),
+            config=GeneticSearchConfig(
+                seed=0, max_generations=4, stall_generations=2
+            ),
+        )
+        with pytest.raises(PlacementError):
+            consolidator.consolidate(pairs, algorithm="best_fit")
+        first_fit = consolidator.consolidate(pairs, algorithm="first_fit")
+        genetic = consolidator.consolidate(pairs, algorithm="genetic")
+        assert genetic.score >= first_fit.score
+        assert genetic.servers_used <= first_fit.servers_used
