@@ -74,10 +74,8 @@ def _greedy_place(
     groups: dict[int, list[int]] = {}
     assignment = [-1] * evaluator.n_workloads
     # All of one workload's candidate (used server + workload) subsets
-    # are independent searches, so evaluate them as one batch when the
-    # evaluator can (one simultaneous bisection instead of a Python loop
-    # per server). Results are identical either way — the batch path
-    # shares the scalar path's cache.
+    # go to the evaluator in one call when it can take them; results
+    # are identical either way, and both calls share one cache.
     batch_evaluate = getattr(evaluator, "evaluate_groups", None)
 
     for workload_index in (int(index) for index in order):
