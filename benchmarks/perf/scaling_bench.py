@@ -1,18 +1,10 @@
-"""Wall-time benchmark for the hierarchical (sharded) placement tier.
+"""Wall-time scaling ladder for ``ROpus.plan`` placement.
 
-Two arms, both against the pinned-seed scaled ensemble:
-
-* ``paper_scale`` — the 26-application case study on the paper's
-  12-server pool. Checks the refactor's two quality contracts:
-  ``sharding="off"`` hashes identically to a plan composed by hand
-  from the pre-refactor pieces (translate + one monolithic
-  consolidation), and the sharded plan's required capacity stays
-  within 2% of the unsharded one.
-* ``scaling_ladder`` — replicated ensembles from 65 to 520 workloads
-  on proportionally sized pools, planned both unsharded and sharded.
-  Wall-clock is fitted on a log-log scale; the sharded growth
-  exponent must stay below 2 (sub-quadratic) and the ≥500-workload
-  rung must complete end-to-end.
+Replicated ensembles from 65 to 520 workloads, drawn with a pinned
+seed, are planned on proportionally sized pools with failure planning
+off. Wall-clock is fitted on a log-log scale; the growth exponent must
+stay below 2 (sub-quadratic) and the ≥500-workload rung must complete
+end to end with every workload placed.
 
 Measurements land in ``BENCH_scaling.json`` at the repo root::
 
@@ -29,13 +21,12 @@ import time
 from pathlib import Path
 
 from repro.core.cos import PoolCommitments
-from repro.core.framework import CapacityPlan, ROpus
+from repro.core.framework import ROpus
 from repro.core.qos import QoSPolicy, case_study_qos
-from repro.placement.consolidation import Consolidator
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
-from repro.workloads.ensemble import case_study_ensemble, scaled_ensemble
+from repro.workloads.ensemble import scaled_ensemble
 
 SEED = 2006
 TOLERANCE = 0.01
@@ -48,116 +39,25 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_scaling.json"
 LADDER: list[tuple[int, int]] = [(65, 30), (130, 60), (260, 120), (520, 240)]
 QUICK_LADDER: list[tuple[int, int]] = [(65, 30), (130, 60)]
 
-#: Paper-scale quality bar: sharded required capacity may exceed the
-#: monolithic plan's by at most this factor.
-QUALITY_BAR = 1.02
 
-
-def _config() -> GeneticSearchConfig:
-    return GeneticSearchConfig(
-        seed=SEED,
-        population_size=10,
-        max_generations=8,
-        stall_generations=4,
-    )
-
-
-def _framework(pool_size: int, **knobs) -> ROpus:
+def _framework(pool_size: int) -> ROpus:
     return ROpus(
         PoolCommitments.of(theta=THETA),
         ResourcePool(homogeneous_servers(pool_size, cpus=16)),
-        search_config=_config(),
-        tolerance=TOLERANCE,
-        **knobs,
-    )
-
-
-def _policy() -> QoSPolicy:
-    return QoSPolicy(normal=case_study_qos(m_degr_percent=0))
-
-
-def _hand_composed_reference(demands, policy) -> CapacityPlan:
-    """The pre-refactor pipeline, built from the original pieces."""
-    framework = _framework(12)
-    translations = framework.translate(demands, policy)
-    pairs = [result.pair for result in translations.values()]
-    consolidation = Consolidator(
-        framework.pool,
-        framework.commitments.cos2,
-        config=_config(),
-        tolerance=TOLERANCE,
-        engine=framework.engine,
-    ).consolidate(pairs, algorithm="genetic")
-    return CapacityPlan(
-        translations=translations,
-        consolidation=consolidation,
-        failure_report=None,
-    )
-
-
-def run_paper_scale(quick: bool) -> dict:
-    """Case-study ensemble: off-path parity and sharded quality."""
-    slot_minutes = 60 if quick else 30
-    demands = case_study_ensemble(seed=SEED, weeks=1, slot_minutes=slot_minutes)
-    policy = _policy()
-
-    start = time.perf_counter()
-    off = _framework(12, sharding="off").plan(
-        demands, policy, plan_failures=False
-    )
-    off_seconds = time.perf_counter() - start
-
-    reference = _hand_composed_reference(demands, policy)
-
-    start = time.perf_counter()
-    sharded = _framework(12, sharding="auto", cluster_seed=SEED).plan(
-        demands, policy, plan_failures=False
-    )
-    sharded_seconds = time.perf_counter() - start
-
-    quality_ratio = (
-        sharded.consolidation.sum_required / off.consolidation.sum_required
-    )
-    result = {
-        "workloads": len(demands),
-        "servers": 12,
-        "slot_minutes": slot_minutes,
-        "off_seconds": round(off_seconds, 4),
-        "sharded_seconds": round(sharded_seconds, 4),
-        "off_sum_required": round(off.consolidation.sum_required, 4),
-        "sharded_sum_required": round(sharded.consolidation.sum_required, 4),
-        "quality_ratio": round(quality_ratio, 6),
-        "quality_bar": QUALITY_BAR,
-        "off_hash_matches_pre_refactor_pipeline": (
-            off.plan_hash() == reference.plan_hash()
+        search_config=GeneticSearchConfig(
+            seed=SEED,
+            population_size=10,
+            max_generations=8,
+            stall_generations=4,
         ),
-        "sharding": {
-            key: value
-            for key, value in sharded.sharding.items()
-            if key != "shard_seconds"
-        },
-    }
-    if not result["off_hash_matches_pre_refactor_pipeline"]:
-        raise RuntimeError(
-            "sharding='off' no longer reproduces the pre-refactor plan"
-        )
-    if quality_ratio > QUALITY_BAR:
-        raise RuntimeError(
-            f"sharded plan is {quality_ratio:.4f}x the monolithic cost, "
-            f"bar is {QUALITY_BAR}x"
-        )
-    print(
-        f"[paper] off {off_seconds:.2f}s, sharded {sharded_seconds:.2f}s, "
-        f"quality {quality_ratio:.4f}x, hash parity ok",
-        flush=True,
+        tolerance=TOLERANCE,
     )
-    return result
 
 
-def _fit_exponent(rungs: list[dict], key: str) -> float:
+def _fit_exponent(rungs: list[dict]) -> float:
     """Least-squares slope of log(seconds) against log(workloads)."""
     xs = [math.log(rung["workloads"]) for rung in rungs]
-    ys = [math.log(rung[key]) for rung in rungs]
+    ys = [math.log(rung["seconds"]) for rung in rungs]
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -167,9 +67,9 @@ def _fit_exponent(rungs: list[dict], key: str) -> float:
 
 
 def run_scaling_ladder(quick: bool) -> dict:
-    """Replicated ensembles, unsharded vs sharded, fitted growth."""
+    """Replicated ensembles planned end to end, with fitted growth."""
     ladder = QUICK_LADDER if quick else LADDER
-    policy = _policy()
+    policy = QoSPolicy(normal=case_study_qos(m_degr_percent=0))
     rungs: list[dict] = []
     for workloads, servers in ladder:
         demands = scaled_ensemble(
@@ -177,69 +77,41 @@ def run_scaling_ladder(quick: bool) -> dict:
         )
 
         start = time.perf_counter()
-        off = _framework(servers, sharding="off").plan(
-            demands, policy, plan_failures=False
-        )
-        off_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        sharded = _framework(
-            servers, sharding="auto", cluster_seed=SEED
-        ).plan(demands, policy, plan_failures=False)
-        sharded_seconds = time.perf_counter() - start
+        plan = _framework(servers).plan(demands, policy, plan_failures=False)
+        seconds = time.perf_counter() - start
 
         placed = sum(
-            len(names) for names in sharded.consolidation.assignment.values()
+            len(names) for names in plan.consolidation.assignment.values()
         )
         if placed != workloads:
-            raise RuntimeError(
-                f"sharded rung {workloads} placed {placed} workloads"
-            )
+            raise RuntimeError(f"rung {workloads} placed {placed} workloads")
         rung = {
             "workloads": workloads,
             "servers": servers,
-            "off_seconds": round(off_seconds, 4),
-            "sharded_seconds": round(sharded_seconds, 4),
-            "off_sum_required": round(off.consolidation.sum_required, 4),
-            "sharded_sum_required": round(
-                sharded.consolidation.sum_required, 4
-            ),
-            "quality_ratio": round(
-                sharded.consolidation.sum_required
-                / off.consolidation.sum_required,
-                4,
-            ),
-            "shards": sharded.sharding["shards"],
-            "largest_shard": max(sharded.sharding["shard_sizes"]),
-            "migrations": sharded.sharding["migrations"],
+            "seconds": round(seconds, 4),
+            "sum_required": round(plan.consolidation.sum_required, 4),
+            "servers_used": plan.servers_used,
         }
         rungs.append(rung)
         print(
-            f"[ladder] n={workloads} off {off_seconds:.2f}s, sharded "
-            f"{sharded_seconds:.2f}s ({rung['shards']} shards, largest "
-            f"{rung['largest_shard']})",
+            f"[ladder] n={workloads} {seconds:.2f}s, "
+            f"{rung['servers_used']} servers, "
+            f"{rung['sum_required']:.2f} CPU",
             flush=True,
         )
 
-    sharded_exponent = _fit_exponent(rungs, "sharded_seconds")
-    off_exponent = _fit_exponent(rungs, "off_seconds")
+    exponent = _fit_exponent(rungs)
     result = {
         "rungs": rungs,
-        "sharded_growth_exponent": round(sharded_exponent, 3),
-        "off_growth_exponent": round(off_exponent, 3),
-        "sharded_subquadratic": sharded_exponent < 2.0,
+        "growth_exponent": round(exponent, 3),
+        "subquadratic": exponent < 2.0,
         "largest_rung_completed": rungs[-1]["workloads"],
     }
-    if not result["sharded_subquadratic"]:
+    if not result["subquadratic"]:
         raise RuntimeError(
-            f"sharded growth exponent {sharded_exponent:.2f} is not "
-            "sub-quadratic"
+            f"growth exponent {exponent:.2f} is not sub-quadratic"
         )
-    print(
-        f"[ladder] growth exponents: sharded {sharded_exponent:.2f}, "
-        f"unsharded {off_exponent:.2f}",
-        flush=True,
-    )
+    print(f"[ladder] growth exponent {exponent:.2f}", flush=True)
     return result
 
 
@@ -259,12 +131,11 @@ def main() -> None:
     args = parser.parse_args()
 
     report = {
-        "benchmark": "hierarchical placement scaling",
+        "benchmark": "placement scaling",
         "seed": SEED,
         "theta": THETA,
         "tolerance": TOLERANCE,
         "quick": args.quick,
-        "paper_scale": run_paper_scale(args.quick),
         "scaling_ladder": run_scaling_ladder(args.quick),
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")

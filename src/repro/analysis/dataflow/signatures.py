@@ -128,30 +128,6 @@ KNOWN_SIGNATURES: dict[str, Signature] = {
             ("horizon", None),
         ),
     ),
-    "repro.placement.clustering.cluster_workloads": Signature(
-        params=(
-            ("features", None),
-            ("n_clusters", None),
-            ("seed", None),
-            ("method", None),
-        ),
-    ),
-    "repro.placement.clustering.demand_shape_features": Signature(
-        params=(("demands", None), ("translations", None)),
-    ),
-    "repro.placement.sharding.derive_shard_seed": Signature(
-        params=(("seed", None), ("shard_index", None)),
-    ),
-    "repro.placement.sharding.pair_shape_features": Signature(
-        params=(("pairs", None),),
-    ),
-    "repro.placement.sharding.partition_pool": Signature(
-        params=(
-            ("pool", None),
-            ("masses", None),
-            ("min_servers_per_shard", None),
-        ),
-    ),
     "repro.workloads.ensemble.scaled_ensemble": Signature(
         params=(
             ("n_apps", None),

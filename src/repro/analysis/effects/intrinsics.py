@@ -243,24 +243,6 @@ KNOWN_EFFECTS: dict[str, EffectOverride] = {
         exported=_fx(Effect.IO),
         reason="journaling write-then-rename is the sanctioned I/O path",
     ),
-    "repro.placement.clustering.cluster_workloads": EffectOverride(
-        inferred=frozenset(),
-        exported=frozenset(),
-        reason=(
-            "deterministic agglomerative clustering; tie-breaks are "
-            "index-ordered and labels canonicalised by first occurrence"
-        ),
-    ),
-    "repro.placement.sharding.partition_pool": EffectOverride(
-        inferred=frozenset(),
-        exported=frozenset(),
-        reason="largest-remainder apportionment over ordered inputs",
-    ),
-    "repro.placement.sharding.derive_shard_seed": EffectOverride(
-        inferred=frozenset(),
-        exported=frozenset(),
-        reason="stable integer seed derivation, no RNG state involved",
-    ),
     "repro.workloads.ensemble.scaled_ensemble": EffectOverride(
         inferred=frozenset(),
         exported=frozenset(),

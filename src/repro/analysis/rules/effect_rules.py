@@ -63,9 +63,10 @@ class TransitivelyImpureSubmission(ProjectRule):
     )
     hint: ClassVar[str] = (
         "Thread determinism through arguments: derive a per-task "
-        "generator with derive_shard_seed()/derive_rng(seed), take "
-        "timestamps in the driver, and pass state explicitly instead "
-        "of mutating module globals from workers."
+        "generator with repro.util.rng.derive_rng(seed) or "
+        "SeedSequenceFactory, take timestamps in the driver, and pass "
+        "state explicitly instead of mutating module globals from "
+        "workers."
     )
     rationale: ClassVar[str] = (
         "The impurity may live three calls below the submitted "
@@ -75,14 +76,15 @@ class TransitivelyImpureSubmission(ProjectRule):
         "arguments) must be applied."
     )
     example_bad: ClassVar[str] = (
-        "def run_shard(shard):\n"
-        "    return simulate(shard)  # simulate() uses random.random\n"
-        "pool.submit(run_shard, shard)"
+        "def run_case(case):\n"
+        "    return simulate(case)  # simulate() uses random.random\n"
+        "pool.submit(run_case, case)"
     )
     example_good: ClassVar[str] = (
-        "def run_shard(shard, seed):\n"
-        "    return simulate(shard, derive_rng(seed))\n"
-        "pool.submit(run_shard, shard, derive_shard_seed(base, i))"
+        "def run_case(case, seed, index):\n"
+        "    rng = SeedSequenceFactory(seed).generator(index)\n"
+        "    return simulate(case, rng)\n"
+        "pool.submit(run_case, case, base_seed, i)"
     )
     default_severity: ClassVar[Severity] = Severity.ERROR
 

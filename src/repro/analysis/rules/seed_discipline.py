@@ -5,10 +5,10 @@ executor submission gets pickled into the worker — every worker then
 replays the *same* stream, or worse, the stream depends on submission
 order. A generator dropped into a checkpoint payload is not
 JSON-serializable and, even via state dicts, couples resume behaviour
-to incidental draw history. The sanctioned patterns are value-level:
-derive an integer per-shard seed (``derive_shard_seed``) or thread an
-explicit seed through ``repro.util.rng`` and construct the generator
-on the far side of the boundary. Explicit state extraction
+to incidental draw history. The sanctioned pattern is value-level:
+pass an integer seed across the boundary and construct the generator
+on the far side with ``repro.util.rng.derive_rng`` or
+``SeedSequenceFactory``. Explicit state extraction
 (``rng.bit_generator.state``) is attribute access, not a bare
 generator, and passes untouched.
 """
@@ -73,25 +73,25 @@ class SeedDisciplineViolation(Rule):
         "of a derived seed."
     )
     hint: ClassVar[str] = (
-        "Pass derive_shard_seed(base_seed, index) (an int) across the "
-        "boundary and rebuild the generator with derive_rng(seed) on "
-        "the other side; checkpoint rng.bit_generator.state, never "
-        "the generator itself."
+        "Pass an integer seed across the boundary and rebuild the "
+        "generator with repro.util.rng.derive_rng(seed) or "
+        "SeedSequenceFactory(seed).generator(index) on the other side; "
+        "checkpoint rng.bit_generator.state, never the generator "
+        "itself."
     )
     rationale: ClassVar[str] = (
         "Pickling a live Generator across a process boundary forks "
         "its stream: parent and worker continue from the same state "
-        "and draw identical 'random' numbers, correlating shards that "
+        "and draw identical 'random' numbers, correlating tasks that "
         "must be independent. Sending a derived integer seed gives "
         "each side its own stream."
     )
     example_bad: ClassVar[str] = (
-        "pool.submit(run_shard, shard, rng)"
+        "pool.submit(run_case, case, rng)"
     )
     example_good: ClassVar[str] = (
-        "seed = derive_shard_seed(base_seed, shard.index)\n"
-        "pool.submit(run_shard, shard, seed)\n"
-        "# worker: rng = derive_rng(seed)"
+        "pool.submit(run_case, case, base_seed, case.index)\n"
+        "# worker: rng = SeedSequenceFactory(seed).generator(index)"
     )
     default_severity: ClassVar[Severity] = Severity.ERROR
 

@@ -81,22 +81,22 @@ class SwallowedFailureRule(Rule):
     )
     rationale: ClassVar[str] = (
         "An except that swallows everything converts crashes into "
-        "silently wrong results: a failed shard looks like an empty "
-        "shard, and the fault-tolerance layer cannot retry what it "
+        "silently wrong results: a failed case looks like an empty "
+        "result, and the fault-tolerance layer cannot retry what it "
         "never saw. Narrow handlers that record or re-raise keep "
         "failures observable."
     )
     example_bad: ClassVar[str] = (
         "try:\n"
-        "    shard_result = run_shard(shard)\n"
+        "    result = run_case(case)\n"
         "except Exception:\n"
         "    pass"
     )
     example_good: ClassVar[str] = (
         "try:\n"
-        "    shard_result = run_shard(shard)\n"
-        "except ShardTimeout as error:\n"
-        "    instrumentation.record_failure(shard, error)\n"
+        "    result = run_case(case)\n"
+        "except CaseTimeout as error:\n"
+        "    instrumentation.record_failure(case, error)\n"
         "    raise"
     )
 

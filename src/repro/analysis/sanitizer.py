@@ -159,7 +159,7 @@ def install() -> None:
                 _raiser(
                     f"numpy.random.{name}()",
                     "use a numpy.random.Generator derived from an "
-                    "explicit seed (derive_rng/derive_shard_seed)",
+                    "explicit seed (derive_rng/SeedSequenceFactory)",
                 ),
             )
 
@@ -172,7 +172,7 @@ def install() -> None:
                 raise DeterminismViolation(
                     "numpy.random.default_rng() without a seed called "
                     "inside a sanitized worker; pass an explicit seed "
-                    "(derive_shard_seed) or a SeedSequence."
+                    "(derive_rng/SeedSequenceFactory) or a SeedSequence."
                 )
             return original_default_rng(seed, *args, **kwargs)
 

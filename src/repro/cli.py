@@ -190,18 +190,6 @@ def _checkpointer(args: argparse.Namespace) -> Checkpointer | None:
     return Checkpointer(directory) if directory else None
 
 
-def _shards_value(text: str) -> "int | str":
-    """Parse the ``--shards`` knob: ``auto``, ``off``, or a shard count."""
-    if text in ("auto", "off"):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto', 'off', or an integer, got {text!r}"
-        ) from None
-
-
 def _print_timings(engine: ExecutionEngine) -> None:
     instrumentation = engine.instrumentation
     stage_rows = [
@@ -295,9 +283,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
         checkpointer=_checkpointer(args),
-        sharding=args.shards,
-        cluster_seed=args.cluster_seed,
-        refine_rounds=args.refine_rounds,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -639,24 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--checkpoint", type=str, default=None, metavar="DIR",
         help="journal planning progress to DIR and resume from it "
-             "(per-generation search state, per-case failure what-ifs, "
-             "completed shards)",
-    )
-    plan.add_argument(
-        "--shards", type=_shards_value, default="off", metavar="N|auto|off",
-        help="hierarchical placement: 'off' plans the whole pool at once "
-             "(default), 'auto' sizes the shard count from the ensemble, "
-             "an integer forces that many shards",
-    )
-    plan.add_argument(
-        "--cluster-seed", type=int, default=None,
-        help="seed for demand-shape clustering tie-breaks (default: "
-             "unseeded, no jitter)",
-    )
-    plan.add_argument(
-        "--refine-rounds", type=int, default=2,
-        help="max cross-shard refinement rounds; each stops early when "
-             "total required capacity stops improving (default 2)",
+             "(per-generation search state, per-case failure what-ifs)",
     )
     plan.set_defaults(handler=cmd_plan)
 

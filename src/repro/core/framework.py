@@ -12,14 +12,8 @@ the paper draws them:
    onto few servers, and the failure planner reports whether a spare
    server is needed.
 
-:meth:`ROpus.plan` is a composition of named pipeline stages —
-``translate → cluster → shard → place → refine → failure_check``
-(:data:`PIPELINE_STAGES`). With ``sharding="off"`` (the default) the
-cluster/shard/refine stages are no-ops and placement runs the single
-monolithic consolidation exactly as it always has; with ``"auto"`` or an
-explicit shard count the hierarchical tier
-(:mod:`repro.placement.sharding`) clusters workloads by demand shape,
-plans sub-pools in parallel, and refines across them.
+:meth:`ROpus.plan` runs those steps in order: translate, one
+consolidation over the whole pool, then the failure check.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from repro.core.translation import QoSTranslator, TranslationResult
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import ConfigurationError
 from repro.placement.affinity import PlacementConstraints
-from repro.placement.clustering import demand_shape_features
 from repro.placement.consolidation import ConsolidationResult, Consolidator
 from repro.placement.failure import (
     FailurePlanner,
@@ -44,29 +37,10 @@ from repro.placement.failure import (
     SpareSizingCurve,
 )
 from repro.placement.genetic import GeneticSearchConfig
-from repro.placement.sharding import (
-    HierarchicalPlanner,
-    ShardedPlacementResult,
-    ShardingPolicy,
-)
 from repro.resources.pool import ResourcePool
 from repro.traces.trace import DemandTrace
 
 PolicyMap = Union[Mapping[str, QoSPolicy], QoSPolicy]
-
-#: The named stages :meth:`ROpus.plan` composes, in execution order.
-#: Each maps to a ``_stage_<name>`` method on :class:`ROpus`; stages
-#: that do not apply to the current configuration (the hierarchical
-#: ones when ``sharding="off"``, ``failure_check`` when failures are
-#: not planned) record themselves as skipped and do no work.
-PIPELINE_STAGES = (
-    "translate",
-    "cluster",
-    "shard",
-    "place",
-    "refine",
-    "failure_check",
-)
 
 
 def _policy_digest(policies: PolicyMap) -> object:
@@ -93,7 +67,6 @@ def planning_fingerprint(
     plan_failures: bool,
     relax_all_on_failure: bool,
     previous: ConsolidationResult | None,
-    sharding: ShardingPolicy | None = None,
     constraints: PlacementConstraints | None = None,
     failure_policy: FailureSweepPolicy | None = None,
 ) -> str:
@@ -101,12 +74,11 @@ def planning_fingerprint(
 
     Checkpoints stamped with this fingerprint are only ever resumed by
     a run whose inputs hash identically — changing a trace, the pool,
-    the seed (inside ``search_config``), or any planning knob — the
-    sharding policy included — makes old checkpoints read as absent
-    instead of silently steering the new run. Execution backend and
-    worker count are deliberately excluded: results are
-    backend-independent, so a resume may legitimately use different
-    parallelism.
+    the seed (inside ``search_config``), or any planning knob — makes
+    old checkpoints read as absent instead of silently steering the
+    new run. Execution backend and worker count are deliberately
+    excluded: results are backend-independent, so a resume may
+    legitimately use different parallelism.
     """
     document = {
         "demands": [
@@ -144,7 +116,6 @@ def planning_fingerprint(
                 for server, names in previous.assignment.items()
             )
         ),
-        "sharding": None if sharding is None else repr(sharding),
         "constraints": None if constraints is None else repr(constraints),
         "failure_policy": (
             None if failure_policy is None else repr(failure_policy)
@@ -159,16 +130,12 @@ class CapacityPlan:
     """Everything the capacity manager needs from one planning run.
 
     ``timings`` maps stage names (``translation``, ``placement``,
-    ``failure_planning``, and — for sharded runs — ``clustering``,
-    ``sharding``, ``refinement``) to the seconds this run spent in
-    each, as recorded by the engine's instrumentation; ``counters``
-    holds the run's counter increments (capacity searches solved as
+    ``failure_planning``) to the seconds this run spent in each, as
+    recorded by the engine's instrumentation; ``counters`` holds the
+    run's counter increments (capacity searches solved as
     ``kernel.rows``, evaluation cache hits/misses, GA generations,
     bytes broadcast to workers, ...), failure-case consolidations
     included.
-    ``sharding`` is the hierarchical tier's summary
-    (shard count and sizes, migration rounds, per-shard timings) when
-    the run was sharded, ``None`` otherwise.
     """
 
     translations: Mapping[str, TranslationResult]
@@ -176,7 +143,6 @@ class CapacityPlan:
     failure_report: Optional[FailureReport]
     timings: Mapping[str, float] = field(default_factory=dict)
     counters: Mapping[str, float] = field(default_factory=dict)
-    sharding: Optional[Mapping[str, object]] = None
     #: Domain-scoped failure sweeps (scope spec → report) when the run
     #: had a :class:`~repro.placement.failure.FailureSweepPolicy`.
     domain_reports: Optional[Mapping[str, FailureReport]] = None
@@ -217,7 +183,6 @@ class CapacityPlan:
                 if self.spare_curve is None
                 else self.spare_curve.to_payload()
             ),
-            "sharding": None if self.sharding is None else dict(self.sharding),
             "stage_timings": dict(self.timings),
             "counters": dict(self.counters),
             "resilience": self.resilience_summary(),
@@ -229,11 +194,7 @@ class CapacityPlan:
         counter map so operators see degraded-but-successful runs at a
         glance (an all-zero map means the run never needed recovery)."""
         prefixes = ("resilience.", "checkpoint.")
-        names = (
-            "failure.case_resumes",
-            "placement.ga_resumes",
-            "placement.shard_resumes",
-        )
+        names = ("failure.case_resumes", "placement.ga_resumes")
         return {
             name: value
             for name, value in self.counters.items()
@@ -315,26 +276,6 @@ class CapacityPlan:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class _PlanContext:
-    """Mutable state threaded through one run of the staged pipeline."""
-
-    demands: Sequence[DemandTrace]
-    policies: PolicyMap
-    algorithm: str
-    previous: Optional[ConsolidationResult]
-    plan_failures: bool
-    relax_all_on_failure: bool
-    planner: Optional[HierarchicalPlanner] = None
-    translations: dict[str, TranslationResult] = field(default_factory=dict)
-    pairs: list = field(default_factory=list)
-    consolidation: Optional[ConsolidationResult] = None
-    sharded: Optional[ShardedPlacementResult] = None
-    failure_report: Optional[FailureReport] = None
-    domain_reports: Optional[dict[str, FailureReport]] = None
-    spare_curve: Optional[SpareSizingCurve] = None
-
-
 class ROpus:
     """The composite framework, end to end.
 
@@ -358,9 +299,6 @@ class ROpus:
         attribute: str = "cpu",
         engine: ExecutionEngine | None = None,
         checkpointer: Checkpointer | None = None,
-        sharding: Union[int, str, ShardingPolicy] = "off",
-        cluster_seed: Optional[int] = None,
-        refine_rounds: int = 2,
         constraints: PlacementConstraints | None = None,
         failure_policy: FailureSweepPolicy | None = None,
     ):
@@ -371,21 +309,13 @@ class ROpus:
         self.attribute = attribute
         self.engine = engine if engine is not None else ExecutionEngine.serial()
         self.checkpointer = checkpointer
-        if isinstance(sharding, ShardingPolicy):
-            self.sharding_policy = sharding
-        else:
-            self.sharding_policy = ShardingPolicy(
-                shards=sharding,
-                cluster_seed=cluster_seed,
-                refine_rounds=refine_rounds,
-            )
         if checkpointer is not None and checkpointer.instrumentation is None:
             checkpointer.instrumentation = self.engine.instrumentation
         #: Anti-affinity constraints, threaded into every consolidation
-        #: this framework runs (monolithic, sharded, and failure
-        #: what-ifs plan *around* them via the priced objective).
+        #: this framework runs (the placement and the failure what-ifs
+        #: plan *around* them via the priced objective).
         self.constraints = constraints
-        #: What the ``failure_check`` stage sweeps beyond the paper's
+        #: What the failure check sweeps beyond the paper's
         #: single-server baseline (domain scopes, degraded servers, the
         #: spare-sizing curve). ``None`` keeps the historical behavior.
         self.failure_policy = failure_policy
@@ -426,13 +356,11 @@ class ROpus:
         algorithm: str = "genetic",
         previous: "ConsolidationResult | None" = None,
     ) -> CapacityPlan:
-        """Run the staged pipeline and assemble the capacity plan.
+        """Translate, consolidate, check failures; assemble the plan.
 
         ``previous`` seeds the placement search with an earlier plan so
         re-planning favours low-migration solutions (see
-        :meth:`~repro.placement.consolidation.Consolidator.consolidate`);
-        it applies to the monolithic path (``sharding="off"``) only —
-        the hierarchical tier re-derives placements per shard.
+        :meth:`~repro.placement.consolidation.Consolidator.consolidate`).
         """
         instrumentation = self.engine.instrumentation
         baseline = instrumentation.snapshot()
@@ -454,24 +382,35 @@ class ROpus:
                 plan_failures=plan_failures,
                 relax_all_on_failure=relax_all_on_failure,
                 previous=previous,
-                sharding=self.sharding_policy,
                 constraints=self.constraints,
                 failure_policy=self.failure_policy,
             )
-        context = _PlanContext(
-            demands=demands,
-            policies=policies,
+        translations = self.translate(demands, policies)
+        consolidator = Consolidator(
+            self.pool,
+            self.commitments.cos2,
+            config=self.search_config,
+            tolerance=self.tolerance,
+            attribute=self.attribute,
+            engine=self.engine,
+            constraints=self.constraints,
+        )
+        consolidation = consolidator.consolidate(
+            [result.pair for result in translations.values()],
             algorithm=algorithm,
             previous=previous,
-            plan_failures=plan_failures,
-            relax_all_on_failure=relax_all_on_failure,
-            planner=self._hierarchical_planner(),
+            checkpointer=self.checkpointer,
         )
-        for name in PIPELINE_STAGES:
-            stage = getattr(self, f"_stage_{name}")
-            ran = stage(context)
-            instrumentation.event(
-                "pipeline.stage", stage=name, ran=bool(ran)
+        failure_report = None
+        domain_reports = None
+        spare_curve = None
+        if plan_failures:
+            failure_report, domain_reports, spare_curve = self._check_failures(
+                demands,
+                policies,
+                consolidation,
+                relax_all=relax_all_on_failure,
+                algorithm=algorithm,
             )
         if self.checkpointer is not None:
             # The run completed: its checkpoints are spent. Rotating
@@ -479,96 +418,29 @@ class ROpus:
             # state behind.
             self.checkpointer.clear()
         return CapacityPlan(
-            translations=context.translations,
-            consolidation=context.consolidation,
-            failure_report=context.failure_report,
+            translations=translations,
+            consolidation=consolidation,
+            failure_report=failure_report,
             timings=instrumentation.timings_since(baseline),
             counters=instrumentation.counters_since(counter_baseline),
-            sharding=(
-                None
-                if context.sharded is None
-                else context.sharded.summary()
-            ),
-            domain_reports=context.domain_reports,
-            spare_curve=context.spare_curve,
+            domain_reports=domain_reports,
+            spare_curve=spare_curve,
         )
 
-    # ------------------------------------------------------------------
-    # Pipeline stages (see PIPELINE_STAGES for the composition order).
-    # Each returns True when it did work, False when it was skipped for
-    # the current configuration.
-    # ------------------------------------------------------------------
-    def _hierarchical_planner(self) -> Optional[HierarchicalPlanner]:
-        if not self.sharding_policy.enabled:
-            return None
-        return HierarchicalPlanner(
-            self.pool,
-            self.commitments.cos2,
-            config=self.search_config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            engine=self.engine,
-            policy=self.sharding_policy,
-            constraints=self.constraints,
-        )
-
-    def _stage_translate(self, context: _PlanContext) -> bool:
-        context.translations = self.translate(
-            context.demands, context.policies
-        )
-        context.pairs = [
-            result.pair for result in context.translations.values()
-        ]
-        return True
-
-    def _stage_cluster(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        features = demand_shape_features(
-            context.demands, context.translations
-        )
-        context.planner.cluster(context.pairs, features)
-        return True
-
-    def _stage_shard(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        context.planner.partition()
-        return True
-
-    def _stage_place(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            # The monolithic path: one consolidation over the whole
-            # pool, exactly as before the hierarchical tier existed.
-            consolidator = Consolidator(
-                self.pool,
-                self.commitments.cos2,
-                config=self.search_config,
-                tolerance=self.tolerance,
-                attribute=self.attribute,
-                engine=self.engine,
-                constraints=self.constraints,
-            )
-            context.consolidation = consolidator.consolidate(
-                context.pairs,
-                algorithm=context.algorithm,
-                previous=context.previous,
-                checkpointer=self.checkpointer,
-            )
-        else:
-            context.planner.place(self.checkpointer, context.algorithm)
-        return True
-
-    def _stage_refine(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        context.sharded = context.planner.refine()
-        context.consolidation = context.sharded.consolidation
-        return True
-
-    def _stage_failure_check(self, context: _PlanContext) -> bool:
-        if not context.plan_failures:
-            return False
+    def _check_failures(
+        self,
+        demands: Sequence[DemandTrace],
+        policies: PolicyMap,
+        consolidation: ConsolidationResult,
+        *,
+        relax_all: bool,
+        algorithm: str,
+    ) -> tuple[
+        FailureReport,
+        Optional[dict[str, FailureReport]],
+        Optional[SpareSizingCurve],
+    ]:
+        """The single-server sweep, then what ``failure_policy`` adds."""
         planner = FailurePlanner(
             self.translator,
             config=self.search_config,
@@ -577,17 +449,17 @@ class ROpus:
             engine=self.engine,
             checkpointer=self.checkpointer,
         )
-        context.failure_report = planner.plan(
-            context.demands,
-            context.policies,
+        failure_report = planner.plan(
+            demands,
+            policies,
             self.pool,
-            context.consolidation,
-            relax_all=context.relax_all_on_failure,
-            algorithm=context.algorithm,
+            consolidation,
+            relax_all=relax_all,
+            algorithm=algorithm,
         )
         policy = self.failure_policy
         if policy is None:
-            return True
+            return failure_report, None, None
         # Domain-scoped sweeps on top of the single-server baseline.
         # Each scope checkpoints under its own key prefix, so a killed
         # multi-scope sweep resumes every completed case regardless of
@@ -595,13 +467,13 @@ class ROpus:
         domain_reports: dict[str, FailureReport] = {}
         for scope in policy.scopes:
             domain_reports[scope] = planner.plan_scope(
-                context.demands,
-                context.policies,
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 scope=scope,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 max_cases=policy.max_cases,
                 sample_seed=policy.sample_seed,
                 key_prefix=f"scope:{scope}",
@@ -612,32 +484,31 @@ class ROpus:
                 f"@{policy.degraded_factor:g}"
             )
             domain_reports[label] = planner.plan_degraded(
-                context.demands,
-                context.policies,
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 factor=policy.degraded_factor,
                 scope=policy.degraded_scope,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 key_prefix=label,
             )
-        if domain_reports:
-            context.domain_reports = domain_reports
+        spare_curve = None
         if policy.spare_curve:
-            context.spare_curve = planner.spare_sizing_curve(
-                context.demands,
-                context.policies,
+            spare_curve = planner.spare_sizing_curve(
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 scopes=policy.spare_scopes,
                 max_spares=policy.max_spares,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 max_cases=policy.max_cases,
                 sample_seed=policy.sample_seed,
             )
-        return True
+        return failure_report, domain_reports or None, spare_curve
 
     def _qos_for(
         self, policies: PolicyMap, name: str, failure_mode: bool

@@ -1,10 +1,10 @@
 """Engine-level work dispatch helpers.
 
 Chunking policy is a property of the *executor*, not of any one
-algorithm: every fan-out stage that batches independent work units
-(GA generation evaluation, shard-wave planning) wants the same shape —
-one contiguous, near-equal chunk per unit of session parallelism, so
-each worker runs a single batched solve over its whole share.
+algorithm: a fan-out stage that batches independent work units (GA
+generation evaluation) wants one contiguous, near-equal chunk per unit
+of session parallelism, so each worker runs a single batched solve over
+its whole share.
 """
 
 from __future__ import annotations

@@ -17,18 +17,9 @@ Components:
   servers, correlated domains (rack/zone loss), degraded servers, and
   the spare-sizing search;
 * :mod:`repro.placement.affinity` — anti-affinity constraints keeping a
-  workload's capacity and failover target in distinct failure domains;
-* :mod:`repro.placement.clustering` / :mod:`repro.placement.sharding` —
-  the hierarchical tier: demand-shape clustering, pool sharding,
-  parallel per-shard planning, and cross-shard refinement.
+  workload's capacity and failover target in distinct failure domains.
 """
 
-from repro.placement.clustering import (
-    ClusteringResult,
-    WorkloadFeatures,
-    cluster_workloads,
-    demand_shape_features,
-)
 from repro.placement.consolidation import ConsolidationResult, Consolidator
 from repro.placement.correlation import (
     allocation_correlation_matrix,
@@ -58,19 +49,11 @@ from repro.placement.multi_attribute import (
 )
 from repro.placement.objective import assignment_score, server_score
 from repro.placement.required_capacity import required_capacity
-from repro.placement.sharding import (
-    HierarchicalPlanner,
-    ShardedPlacementResult,
-    ShardingPolicy,
-    pair_shape_features,
-    partition_pool,
-)
 from repro.placement.simulator import AccessReport, SingleServerSimulator
 
 __all__ = [
     "AccessReport",
     "AffinityViolation",
-    "ClusteringResult",
     "ConsolidationResult",
     "Consolidator",
     "FailurePlanner",
@@ -83,18 +66,10 @@ __all__ = [
     "SpareSizingCurve",
     "GeneticPlacementSearch",
     "GeneticSearchConfig",
-    "HierarchicalPlanner",
     "MultiAttributeConsolidator",
     "MultiAttributeEvaluator",
-    "ShardedPlacementResult",
-    "ShardingPolicy",
     "SingleServerSimulator",
-    "WorkloadFeatures",
     "allocation_correlation_matrix",
-    "cluster_workloads",
-    "demand_shape_features",
-    "pair_shape_features",
-    "partition_pool",
     "assignment_score",
     "best_fit_decreasing",
     "correlation_aware_seed",

@@ -14,10 +14,9 @@ here is deliberately small:
   so the search is steered away from violating assignments without
   ever declaring them infeasible — capacity feasibility stays a hard
   constraint, anti-affinity a soft one;
-* after any search (and after cross-shard refinement merges shard
-  plans, where co-locations can reappear), :func:`repair_assignment`
-  deterministically migrates surplus group members to feasible servers
-  in unoccupied domains.
+* after any search, :func:`repair_assignment` deterministically
+  migrates surplus group members to feasible servers in unoccupied
+  domains.
 
 Domains come from the pool topology
 (:class:`~repro.resources.server.ServerSpec` rack/zone labels); an
@@ -146,8 +145,8 @@ class ConstraintIndex:
     label so the genetic search's per-assignment penalty is a couple of
     dictionary passes, not string lookups. Groups referencing unknown
     workloads keep their known members (a constraint spanning ensembles
-    — e.g. a shard seeing only part of a group — still binds the part
-    it can see); groups with fewer than two known members drop out.
+    still binds the part it can see); groups with fewer than two known
+    members drop out.
     """
 
     def __init__(

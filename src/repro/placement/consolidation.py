@@ -108,8 +108,8 @@ class ConsolidationResult:
         """Rebuild a persisted result; raises on malformed documents.
 
         Callers restoring from untrusted checkpoints catch the failure
-        and recompute (see :func:`repro.placement.failure._case_from_payload`
-        and the shard resume path) — a checkpoint is never load-bearing.
+        and recompute (see :func:`repro.placement.failure._case_from_payload`)
+        — a checkpoint is never load-bearing.
         """
         return cls(
             assignment={

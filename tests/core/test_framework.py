@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.cos import PoolCommitments
-from repro.core.framework import ROpus
+from repro.core.framework import CapacityPlan, ROpus
 from repro.core.qos import QoSPolicy, case_study_qos
 from repro.exceptions import ConfigurationError
+from repro.placement.consolidation import Consolidator
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
@@ -83,6 +84,13 @@ class TestPlan:
         plan = framework.plan(demands, policy, plan_failures=False)
         assert plan.failure_report is None
         assert plan.spare_server_needed is None
+        # The plan is exactly translate + one monolithic consolidation.
+        translations = framework.translate(demands, policy)
+        consolidation = Consolidator(
+            framework.pool, framework.commitments.cos2, config=FAST_SEARCH
+        ).consolidate([result.pair for result in translations.values()])
+        composed = CapacityPlan(translations, consolidation, None)
+        assert plan.plan_hash() == composed.plan_hash()
 
     def test_greedy_algorithm_plan(self, framework, demands, policy):
         plan = framework.plan(
