@@ -94,6 +94,27 @@ def _evaluation_from_result(
     )
 
 
+def _canonical_rows(indices: Sequence[int], n_workloads: int) -> tuple[int, ...]:
+    """Sorted, de-duplicated subset rows; raises on an out-of-range row."""
+    rows = tuple(sorted({int(index) for index in indices}))
+    if rows and (rows[0] < 0 or rows[-1] >= n_workloads):
+        raise PlacementError(f"workload indices out of range: {indices}")
+    return rows
+
+
+def _simulator_for_rows(
+    cos1: np.ndarray,
+    cos2: np.ndarray,
+    calendar: TraceCalendar,
+    rows: Sequence[int],
+) -> SingleServerSimulator:
+    """The simulator of one canonically-sorted subset's aggregate traces."""
+    index = np.asarray(rows, dtype=int)
+    return SingleServerSimulator(
+        cos1[index].sum(axis=0), cos2[index].sum(axis=0), calendar
+    )
+
+
 def _evaluate_rows(
     cos1: np.ndarray,
     cos2: np.ndarray,
@@ -104,16 +125,14 @@ def _evaluate_rows(
     limit: float,
 ) -> ServerEvaluation:
     """Scalar evaluation of one canonically-sorted subset at one limit."""
-    index = np.asarray(rows, dtype=int)
-    simulator = SingleServerSimulator(
-        cos1[index].sum(axis=0), cos2[index].sum(axis=0), calendar
-    )
+    if not rows:
+        return ServerEvaluation(fits=True, required=0.0, utilization=0.0)
     result = required_capacity(
         [],
         capacity_limit=limit,
         commitment=commitment,
         tolerance=tolerance,
-        simulator=simulator,
+        simulator=_simulator_for_rows(cos1, cos2, calendar, rows),
     )
     return _evaluation_from_result(result, limit)
 
@@ -124,7 +143,9 @@ def evaluate_group_worker(
     """Executor work unit: ``item`` is ``(capacity_limit, workload_rows)``.
 
     A pure function of the broadcast payload and the item, so results
-    are identical across serial and parallel backends.
+    are identical across serial and parallel backends. The rows are
+    canonicalised as :meth:`PlacementEvaluator.cache_key` does, so the
+    answer equals :meth:`PlacementEvaluator.evaluate_group` on them.
     """
     limit, rows = item
     return _evaluate_rows(
@@ -133,7 +154,7 @@ def evaluate_group_worker(
         payload.calendar,
         payload.commitment,
         payload.tolerance,
-        tuple(sorted(rows)),
+        _canonical_rows(rows, payload.cos1.shape[0]),
         limit,
     )
 
@@ -229,7 +250,7 @@ class PlacementEvaluator:
         identical to calling :meth:`evaluate_group` one by one.
         """
         keys = [
-            (float(limit), self._canonical_rows(rows))
+            (float(limit), _canonical_rows(rows, self.n_workloads))
             for limit, rows in items
         ]
         missing: dict[GroupKey, None] = {}
@@ -253,7 +274,10 @@ class PlacementEvaluator:
         shipping — reuses the same sorted tuple instead of re-sorting
         per evaluation.
         """
-        return (server.capacity_of(attribute), self._canonical_rows(indices))
+        return (
+            server.capacity_of(attribute),
+            _canonical_rows(indices, self.n_workloads),
+        )
 
     def is_cached(self, key: GroupKey) -> bool:
         return key in self._cache
@@ -279,7 +303,10 @@ class PlacementEvaluator:
         attribute: str = "cpu",
     ) -> RequiredCapacityResult:
         """Full (uncached) search result, including the access report."""
-        simulator = self._simulator_for(list(indices))
+        rows = _canonical_rows(indices, self.n_workloads)
+        if not rows:
+            raise PlacementError("cannot build a simulator for no workloads")
+        simulator = _simulator_for_rows(self._cos1, self._cos2, self.calendar, rows)
         return required_capacity(
             [],
             capacity_limit=server.capacity_of(attribute),
@@ -288,17 +315,10 @@ class PlacementEvaluator:
             simulator=simulator,
         )
 
-    def _canonical_rows(self, indices: Sequence[int]) -> tuple[int, ...]:
-        rows = tuple(sorted({int(index) for index in indices}))
-        if rows and (rows[0] < 0 or rows[-1] >= self.n_workloads):
-            raise PlacementError(f"workload indices out of range: {indices}")
-        return rows
-
     def _evaluate_key(self, key: GroupKey) -> ServerEvaluation:
         limit, rows = key
-        if not rows:
-            return ServerEvaluation(fits=True, required=0.0, utilization=0.0)
-        self._count("kernel.rows")
+        if rows:
+            self._count("kernel.rows")
         return _evaluate_rows(
             self._cos1,
             self._cos2,
@@ -312,11 +332,3 @@ class PlacementEvaluator:
     def _count(self, name: str, increment: float = 1) -> None:
         if self.instrumentation is not None:
             self.instrumentation.count(name, increment)
-
-    def _simulator_for(self, indices: list[int]) -> SingleServerSimulator:
-        if not indices:
-            raise PlacementError("cannot build a simulator for no workloads")
-        rows = np.asarray(self._canonical_rows(indices), dtype=int)
-        cos1 = self._cos1[rows].sum(axis=0)
-        cos2 = self._cos2[rows].sum(axis=0)
-        return SingleServerSimulator(cos1, cos2, self.calendar)

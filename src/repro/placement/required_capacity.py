@@ -10,11 +10,16 @@ Preconditions mirror the paper: if the sum of peak CoS1 allocations
 exceeds the capacity limit the workloads do not fit at all; otherwise the
 search brackets between that CoS1 peak (the floor any valid capacity must
 reach) and the attribute's capacity limit ``L``.
+
+Each probe asks :meth:`SingleServerSimulator.meets` for a yes/no answer;
+the access report of the answer is only built when a caller reads
+:attr:`RequiredCapacityResult.report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.core.cos import CoSCommitment
@@ -27,11 +32,28 @@ DEFAULT_TOLERANCE = 0.01
 
 @dataclass(frozen=True)
 class RequiredCapacityResult:
-    """Outcome of the required-capacity search for one server."""
+    """Outcome of the required-capacity search for one server.
+
+    ``report`` is the simulator's access report at the required capacity
+    (at the capacity limit when the workloads do not fit; ``None`` when
+    their CoS1 peak alone exceeds the limit). It is computed on first
+    access.
+    """
 
     fits: bool
     required_capacity: float
-    report: Optional[AccessReport]
+    simulator: Optional[SingleServerSimulator] = field(
+        default=None, repr=False, compare=False
+    )
+    report_capacity: Optional[float] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def report(self) -> Optional[AccessReport]:
+        if self.simulator is None or self.report_capacity is None:
+            return None
+        return self.simulator.evaluate(self.report_capacity)
 
 
 def required_capacity(
@@ -69,37 +91,34 @@ def required_capacity(
         raise SimulationError(f"tolerance must be > 0, got {tolerance}")
     if simulator is None:
         simulator = SingleServerSimulator.from_pairs(list(pairs))
-    calendar = simulator.calendar
 
     if simulator.cos1_peak > capacity_limit + 1e-9:
+        return RequiredCapacityResult(fits=False, required_capacity=float("inf"))
+
+    theta = commitment.theta
+    deadline_slots = commitment.deadline_slots(simulator.calendar)
+
+    def result(fits: bool, capacity: float) -> RequiredCapacityResult:
         return RequiredCapacityResult(
-            fits=False, required_capacity=float("inf"), report=None
+            fits=fits,
+            required_capacity=capacity if fits else float("inf"),
+            simulator=simulator,
+            report_capacity=capacity,
         )
 
-    report_at_limit = simulator.evaluate(capacity_limit)
-    if not report_at_limit.satisfies(commitment, calendar):
-        return RequiredCapacityResult(
-            fits=False, required_capacity=float("inf"), report=report_at_limit
-        )
+    if not simulator.meets(capacity_limit, theta, deadline_slots):
+        return result(False, capacity_limit)
 
     # Bracket: `high` always satisfies; `low` is a floor that may not.
     low = max(simulator.cos1_peak, tolerance)
     high = float(capacity_limit)
-    best_report = report_at_limit
     if low < high:
-        report_at_low = simulator.evaluate(low)
-        if report_at_low.satisfies(commitment, calendar):
-            return RequiredCapacityResult(
-                fits=True, required_capacity=low, report=report_at_low
-            )
+        if simulator.meets(low, theta, deadline_slots):
+            return result(True, low)
         while high - low > tolerance:
             mid = (low + high) / 2.0
-            report = simulator.evaluate(mid)
-            if report.satisfies(commitment, calendar):
+            if simulator.meets(mid, theta, deadline_slots):
                 high = mid
-                best_report = report
             else:
                 low = mid
-    return RequiredCapacityResult(
-        fits=True, required_capacity=high, report=best_report
-    )
+    return result(True, high)

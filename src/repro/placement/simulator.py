@@ -14,6 +14,16 @@ computes the resource access CoS statistics:
 * whether CoS2 demand deferred under contention is fully served within
   the deadline ``s`` (checked with a fluid FIFO backlog model).
 
+There are two ways to ask. :meth:`SingleServerSimulator.evaluate`
+measures everything and returns an :class:`AccessReport`, with the exact
+longest wait. :meth:`SingleServerSimulator.meets` answers only "does this
+capacity honour the commitment?", which is all a capacity-search probe
+needs. It always equals ``evaluate(capacity).satisfies(...)`` but stops
+at the first commitment that fails — CoS1 peak, then theta, then the
+deadline — and tests the deadline with one shifted comparison of
+cumulative service against cumulative arrivals instead of computing
+the longest wait.
+
 Everything here is vectorised; the step-wise
 :class:`~repro.resources.scheduler.CapacityScheduler` is the per-workload
 reference model these aggregates are tested against.
@@ -22,6 +32,7 @@ reference model these aggregates are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +42,14 @@ from repro.traces.allocation import CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
 
 _EPSILON = 1e-9
+#: Slack on the theta comparison, so a measured theta that equals the
+#: commitment up to rounding still meets it.
+_THETA_SLACK = 1e-12
+
+
+def _require_positive(capacity: float) -> None:
+    if capacity <= 0:
+        raise SimulationError(f"capacity must be > 0, got {capacity}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +78,7 @@ class AccessReport:
         """True when this capacity honours the pool's CoS commitments."""
         if not self.cos1_fits:
             return False
-        if self.theta_measured < commitment.theta - 1e-12:
+        if self.theta_measured < commitment.theta - _THETA_SLACK:
             return False
         return self.deadline_ok(commitment, calendar)
 
@@ -80,11 +99,10 @@ class SingleServerSimulator:
         self._cos1 = cos1
         self._cos2 = cos2
         self._cos1_peak = float(cos1.max()) if cos1.size else 0.0
-        self._cos2_arrivals_cum = np.concatenate(([0.0], np.cumsum(cos2)))
         # Capacity-independent precomputation, hoisted so repeated
-        # evaluate() calls (dozens per binary search) don't redo it: the
-        # theta denominator (requested CoS2 per week and slot-of-day),
-        # its positive mask, and the total CoS2 demand.
+        # probes (dozens per binary search) don't redo it: the theta
+        # denominator (requested CoS2 per week and slot-of-day), its
+        # positive mask, and the total CoS2 demand.
         self._theta_requested = calendar.slot_of_day_view(cos2).sum(axis=1)
         self._theta_positive = self._theta_requested > 0
         self._cos2_total = float(cos2.sum())
@@ -107,14 +125,16 @@ class SingleServerSimulator:
     def cos1_peak(self) -> float:
         return self._cos1_peak
 
+    @cached_property
+    def _cos2_arrivals_cum(self) -> np.ndarray:
+        """Cumulative CoS2 arrivals; only deadline checks read it."""
+        return np.cumsum(self._cos2)
+
     def evaluate(self, capacity: float) -> AccessReport:
         """Measure access statistics at one candidate capacity."""
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be > 0, got {capacity}")
+        _require_positive(capacity)
         cos1_fits = self._cos1_peak <= capacity + _EPSILON
-        granted_cos1 = np.minimum(self._cos1, capacity)
-        available_cos2 = np.maximum(0.0, capacity - granted_cos1)
-        satisfied_now = np.minimum(self._cos2, available_cos2)
+        available_cos2, satisfied_now = self._serve(capacity)
 
         theta = self._measure_theta(satisfied_now)
         max_deferred = self._max_deferred_slots(available_cos2)
@@ -128,6 +148,54 @@ class SingleServerSimulator:
             cos2_demand_total=self._cos2_total,
             cos2_satisfied_on_request=float(satisfied_now.sum()),
         )
+
+    def meets(self, capacity: float, theta: float, deadline_slots: int) -> bool:
+        """True when ``capacity`` honours a commitment of ``theta`` and a
+        ``deadline_slots`` deadline.
+
+        Always equal to ``evaluate(capacity).satisfies(commitment,
+        calendar)`` for the commitment with that theta and deadline
+        (``deadline_slots`` is ``commitment.deadline_slots(calendar)``,
+        never negative), but returns at the first commitment that fails
+        and never computes the exact longest wait.
+        """
+        _require_positive(capacity)
+        if not self._cos1_peak <= capacity + _EPSILON:
+            return False
+        available_cos2, satisfied_now = self._serve(capacity)
+        if self._measure_theta(satisfied_now) < theta - _THETA_SLACK:
+            return False
+        backlog = self._backlog(available_cos2)
+        if float(backlog.max(initial=0.0)) <= _EPSILON:
+            return True
+        n = backlog.shape[0]
+        if deadline_slots >= n:
+            return True
+        # Every wait is at most D slots iff cumulative service through
+        # t + D covers cumulative arrivals through t, for every t: the
+        # searchsorted of _max_deferred_slots lands at or before t + D
+        # exactly when served_cum[t + D] reaches the searched value.
+        arrivals_cum = self._cos2_arrivals_cum
+        served_cum = arrivals_cum - backlog
+        return bool(
+            np.all(
+                served_cum[deadline_slots:]
+                >= arrivals_cum[: n - deadline_slots] - _EPSILON
+            )
+        )
+
+    def _serve(self, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot capacity left for CoS2 after CoS1, and the CoS2
+        demand served on request from it."""
+        granted_cos1 = np.minimum(self._cos1, capacity)
+        available_cos2 = np.maximum(0.0, capacity - granted_cos1)
+        return available_cos2, np.minimum(self._cos2, available_cos2)
+
+    def _backlog(self, available_cos2: np.ndarray) -> np.ndarray:
+        """Deferred CoS2 demand after each slot (fluid FIFO model)."""
+        prefix = np.cumsum(self._cos2 - available_cos2)
+        floor = np.minimum.accumulate(np.minimum(prefix, 0.0))
+        return prefix - floor
 
     def _measure_theta(self, satisfied_now: np.ndarray) -> float:
         """The paper's theta: min over weeks and slots of day.
@@ -156,13 +224,10 @@ class SingleServerSimulator:
         value is the smallest ``k`` that works for every slot (0 when no
         demand is ever deferred).
         """
-        deficits = self._cos2 - available_cos2
-        prefix = np.cumsum(deficits)
-        floor = np.minimum.accumulate(np.minimum(prefix, 0.0))
-        backlog = prefix - floor
+        backlog = self._backlog(available_cos2)
         if float(backlog.max(initial=0.0)) <= _EPSILON:
             return 0
-        arrivals_cum = self._cos2_arrivals_cum[1:]
+        arrivals_cum = self._cos2_arrivals_cum
         served_cum = arrivals_cum - backlog
         # For each arrival slot t find the first slot where cumulative
         # service reaches the arrivals through t; served_cum is

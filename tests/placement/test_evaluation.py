@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cos import CoSCommitment
 from repro.exceptions import PlacementError
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, evaluate_group_worker
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
@@ -101,3 +101,20 @@ class TestSearchResult:
         assert result.fits
         assert result.report is not None
         assert result.report.theta_measured >= 0.9
+
+
+class TestWorkerCanonicalisation:
+    """Regression: the worker once sorted its rows without de-duplicating
+    or range-checking them, so ``(0, 0)`` counted workload ``a`` twice
+    and ``(-1,)`` silently evaluated the last workload."""
+
+    @pytest.mark.parametrize("rows", [(0, 0), (1, 0, 1), ()])
+    def test_worker_equals_evaluate_group(self, evaluator, rows):
+        expected = evaluator.evaluate_group(list(rows), ServerSpec("s", 16))
+        payload = evaluator.worker_payload()
+        assert evaluate_group_worker(payload, (16.0, rows)) == expected
+
+    @pytest.mark.parametrize("rows", [(-1,), (3,), (0, 99)])
+    def test_worker_rejects_out_of_range_rows(self, evaluator, rows):
+        with pytest.raises(PlacementError):
+            evaluate_group_worker(evaluator.worker_payload(), (16.0, rows))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
 from repro.placement.required_capacity import required_capacity
+from repro.placement.simulator import SingleServerSimulator
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
 
@@ -92,8 +93,6 @@ class TestSearch:
         commitment = CoSCommitment(theta=0.9, deadline_minutes=60)
         tolerance = 0.01
         result = required_capacity([pair], 16.0, commitment, tolerance=tolerance)
-        from repro.placement.simulator import SingleServerSimulator
-
         simulator = SingleServerSimulator.from_pairs([pair])
         below = result.required_capacity - 2 * tolerance
         if below > 0:
@@ -124,10 +123,85 @@ class TestSearch:
         commitment = CoSCommitment(theta=theta, deadline_minutes=240)
         result = required_capacity([pair], 16.0, commitment, tolerance=0.01)
         if result.fits:
-            from repro.placement.simulator import SingleServerSimulator
-
             simulator = SingleServerSimulator.from_pairs([pair])
             assert simulator.evaluate(result.required_capacity).satisfies(
                 commitment, calendar
             )
             assert simulator.evaluate(16.0).satisfies(commitment, calendar)
+
+
+def report_search(simulator, capacity_limit, commitment, tolerance):
+    """The bisection as it was before the boolean probe: every probe
+    builds the full access report and asks it ``satisfies``."""
+    calendar = simulator.calendar
+    if simulator.cos1_peak > capacity_limit + 1e-9:
+        return False, float("inf")
+    if not simulator.evaluate(capacity_limit).satisfies(commitment, calendar):
+        return False, float("inf")
+    low = max(simulator.cos1_peak, tolerance)
+    high = float(capacity_limit)
+    if low < high:
+        if simulator.evaluate(low).satisfies(commitment, calendar):
+            return True, low
+        while high - low > tolerance:
+            mid = (low + high) / 2.0
+            if simulator.evaluate(mid).satisfies(commitment, calendar):
+                high = mid
+            else:
+                low = mid
+    return True, high
+
+
+class TestProbeEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+        st.sampled_from([0, 120, 480, 20_000]),
+        st.sampled_from([2.0, 6.0, 16.0]),
+        st.sampled_from([0.001, 0.01]),
+    )
+    def test_same_answer_as_report_search(
+        self, seed, theta, deadline_minutes, limit, tolerance
+    ):
+        calendar = TraceCalendar(weeks=1, slot_minutes=120)
+        rng = np.random.default_rng(seed)
+        n = calendar.n_observations
+        bursts = np.where(rng.uniform(size=n) < 0.1, rng.uniform(2, 12, n), 0.0)
+        pair = make_pair(
+            calendar, "a", rng.uniform(0, 1.5, n), rng.uniform(0, 3, n) + bursts
+        )
+        commitment = CoSCommitment(theta=theta, deadline_minutes=deadline_minutes)
+        simulator = SingleServerSimulator.from_pairs([pair])
+        result = required_capacity(
+            [], limit, commitment, tolerance=tolerance, simulator=simulator
+        )
+        expected = report_search(simulator, limit, commitment, tolerance)
+        assert (result.fits, result.required_capacity) == expected
+
+
+class TestLazyReport:
+    def test_report_is_at_the_required_capacity(self, cal):
+        rng = np.random.default_rng(3)
+        n = cal.n_observations
+        pair = make_pair(cal, "a", np.zeros(n), rng.uniform(0, 4, n))
+        commitment = CoSCommitment(theta=0.9, deadline_minutes=60)
+        result = required_capacity([pair], 16.0, commitment)
+        assert "report" not in vars(result)
+        assert result.report.capacity == result.required_capacity
+        assert result.report.satisfies(commitment, cal)
+
+    def test_report_is_at_the_limit_when_the_limit_fails(self, cal):
+        pair = constant_pair(cal, "a", 0.0, 30.0)
+        commitment = CoSCommitment(theta=0.99, deadline_minutes=0)
+        result = required_capacity([pair], 16.0, commitment)
+        assert not result.fits
+        assert result.report.capacity == 16.0
+        assert not result.report.satisfies(commitment, cal)
+
+    def test_no_report_when_cos1_exceeds_the_limit(self, cal):
+        pair = constant_pair(cal, "a", 20.0, 0.0)
+        result = required_capacity(
+            [pair], 16.0, CoSCommitment(theta=0.5, deadline_minutes=60)
+        )
+        assert result.report is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
@@ -210,3 +212,96 @@ class TestSatisfies:
         )
         commitment = CoSCommitment(theta=0.5, deadline_minutes=10_000)
         assert not simulator.evaluate(4.0).satisfies(commitment, cal)
+
+
+def shaped_pair(calendar, shape, seed):
+    """A random workload of one of the shapes the probe treats apart."""
+    rng = np.random.default_rng(seed)
+    n = calendar.n_observations
+    cos1 = rng.uniform(0, 2, n)
+    if shape == "zero_cos2":
+        cos2 = np.zeros(n)
+    elif shape == "oversubscribed":
+        cos1 = np.zeros(n)
+        cos2 = np.full(n, 4.0)
+    elif shape == "bursty":
+        cos2 = np.where(rng.uniform(size=n) < 0.1, rng.uniform(5, 20, n), 0.0)
+    else:
+        cos2 = rng.uniform(0, 5, n)
+    return make_pair(calendar, "a", cos1, cos2)
+
+
+class TestMeets:
+    """``meets`` is the capacity-search probe: it must always agree with
+    the full report's ``satisfies``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(["random", "zero_cos2", "oversubscribed", "bursty"]),
+        st.floats(min_value=0.01, max_value=1.5),
+        st.sampled_from([0.1, 0.5, 0.9, 0.99, 1.0]),
+        # 0 slots, a few slots, and deadlines at and beyond the trace
+        # length (84 two-hour slots).
+        st.sampled_from([0, 120, 360, 1_440, 10_080, 20_000]),
+    )
+    def test_equals_evaluate_satisfies(
+        self, seed, shape, capacity_fraction, theta, deadline_minutes
+    ):
+        calendar = TraceCalendar(weeks=1, slot_minutes=120)
+        pair = shaped_pair(calendar, shape, seed)
+        simulator = SingleServerSimulator.from_pairs([pair])
+        peak = float((pair.cos1.values + pair.cos2.values).max())
+        capacity = max(capacity_fraction * peak, 1e-3)
+        commitment = CoSCommitment(theta=theta, deadline_minutes=deadline_minutes)
+        expected = simulator.evaluate(capacity).satisfies(commitment, calendar)
+        assert simulator.meets(
+            capacity, theta, commitment.deadline_slots(calendar)
+        ) == expected
+
+    @pytest.mark.parametrize(
+        "deadline_slots, expected", [(0, False), (1, False), (2, True), (3, True)]
+    )
+    def test_deadline_boundary_is_exact(self, cal, deadline_slots, expected):
+        # A burst of 6 at capacity 2 waits exactly 2 slots.
+        n = cal.n_observations
+        cos2 = np.zeros(n)
+        cos2[10] = 6.0
+        simulator = SingleServerSimulator.from_pairs(
+            [make_pair(cal, "a", np.zeros(n), cos2)]
+        )
+        assert simulator.evaluate(2.0).max_deferred_slots == 2
+        assert simulator.meets(2.0, 0.1, deadline_slots) is expected
+
+    def test_rounding_residue_within_epsilon_is_not_a_wait(self, cal):
+        # 3 * 0.1 drained at 0.1 per slot leaves a ~1e-16 backlog after the
+        # third slot; the epsilon counts it as drained, as evaluate does.
+        n = cal.n_observations
+        cos2 = np.zeros(n)
+        cos2[10] = 3 * 0.1
+        simulator = SingleServerSimulator.from_pairs(
+            [make_pair(cal, "a", np.zeros(n), cos2)]
+        )
+        commitment = CoSCommitment(theta=0.3, deadline_minutes=120)
+        assert simulator.evaluate(0.1).satisfies(commitment, cal)
+        assert simulator.meets(0.1, 0.3, 2)
+
+    def test_failed_theta_skips_the_deadline_work(self, cal):
+        simulator = SingleServerSimulator.from_pairs(
+            [constant_pair(cal, "a", 0.0, 4.0)]
+        )
+        assert not simulator.meets(2.0, 0.9, 0)
+        assert "_cos2_arrivals_cum" not in vars(simulator)
+
+    def test_cos1_overbooking_fails_first(self, cal):
+        simulator = SingleServerSimulator.from_pairs(
+            [constant_pair(cal, "a", 5.0, 0.0)]
+        )
+        assert not simulator.meets(4.0, 0.0, cal.n_observations)
+
+    def test_rejects_nonpositive_capacity(self, cal):
+        simulator = SingleServerSimulator.from_pairs(
+            [constant_pair(cal, "a", 1.0, 1.0)]
+        )
+        with pytest.raises(SimulationError):
+            simulator.meets(0.0, 0.9, 1)
